@@ -1,4 +1,4 @@
-"""E16 — sharded build scaling and distance-merge serving.
+"""E16 — sharded build and distance-merge serving.
 
 Not a paper claim: this experiment measures the persistence + sharding
 layer (``repro.persistence`` / ``repro.service.sharded``) that turns the
@@ -6,26 +6,23 @@ single-process simulator into a saveable, partitionable serving system.
 
 Measured:
 
-* **Build scaling** — wall-clock of ``ShardedANNIndex.build`` with 4
-  shards, serial (in-process) vs 4 worker processes.  Workers warm each
-  shard's preprocessing (per-level database sketching, the real build
-  cost) and ship it to the parent through persistence snapshots.
+* **Build** — wall-clock of ``ShardedANNIndex.build`` with 4 shards,
+  each shard's preprocessing warmed (per-level database sketching, the
+  real build cost).
 * **Merge fidelity** — the sharded index's answers equal the
   distance-merge oracle over independently built shard indexes
   (asserted on every run).
 * **Serving** — merged batch query throughput and aggregated
-  probe/round stats per shard count.
+  probe/round stats.
+* **Round trip** — a saved and reloaded sharded index answers like the
+  built one.
 
-Criteria: merge fidelity is asserted unconditionally.  The parallel
-speedup assertion (parallel build faster than serial) runs only when the
-machine actually has ≥ 2 usable cores — on single-core CI runners
-process fan-out cannot beat serial by construction, so there the row is
-informational.
+Criteria: merge fidelity and the round trip are asserted on every run;
+build time and q/s are informational.
 
 Catalog of all experiments: ``docs/BENCHMARKS.md``.
 """
 
-import os
 import time
 
 import numpy as np
@@ -47,13 +44,6 @@ INDEX_SPEC = IndexSpec(
 )
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 @pytest.fixture(scope="module")
 def e16_workload():
     gen = np.random.default_rng(2016)
@@ -69,11 +59,9 @@ def e16_workload():
     return db, queries
 
 
-def _timed_build(db, workers):
+def _timed_build(db):
     start = time.perf_counter()
-    index = ShardedANNIndex.build(
-        db, INDEX_SPEC, shards=SHARDS, workers=workers, warm=True
-    )
+    index = ShardedANNIndex.build(db, INDEX_SPEC, shards=SHARDS, warm=True)
     return index, time.perf_counter() - start
 
 
@@ -107,79 +95,38 @@ def _merge_matches_oracle(db, sharded, queries) -> bool:
 
 
 @pytest.fixture(scope="module")
-def e16_rows(e16_workload, report_table):
+def e16_row(e16_workload, report_table):
     db, queries = e16_workload
-    serial_index, serial_time = _timed_build(db, workers=1)
-    parallel_index, parallel_time = _timed_build(db, workers=SHARDS)
-
-    rows = []
-    for label, index, build_time in (
-        ("serial", serial_index, serial_time),
-        (f"{SHARDS} workers", parallel_index, parallel_time),
-    ):
-        start = time.perf_counter()
-        results = index.query_batch(queries)
-        query_time = time.perf_counter() - start
-        stats = index.last_batch_stats
-        rows.append(
-            {
-                "build": label,
-                "build s": round(build_time, 2),
-                "speedup": round(serial_time / build_time, 2),
-                "q/s": round(len(results) / query_time),
-                "probes": stats.total_probes,
-                "answered": sum(r.answered for r in results),
-                "merge ok": _merge_matches_oracle(db, index, queries),
-            }
-        )
-    report_table(
-        f"E16: sharded build scaling (n={N}, d={D}, k={K}, S={SHARDS}, "
-        f"cores={_usable_cores()})",
-        rows,
-    )
+    index, build_time = _timed_build(db)
+    start = time.perf_counter()
+    results = index.query_batch(queries)
+    query_time = time.perf_counter() - start
+    stats = index.last_batch_stats
+    row = {
+        "build s": round(build_time, 2),
+        "q/s": round(len(results) / query_time),
+        "probes": stats.total_probes,
+        "answered": sum(r.answered for r in results),
+        "merge ok": _merge_matches_oracle(db, index, queries),
+    }
+    report_table(f"E16: sharded build (n={N}, d={D}, k={K}, S={SHARDS})", [row])
     from artifacts import write_artifact
 
     write_artifact(
         "e16_sharded_scale",
-        {
-            "serial_build_s": serial_time,
-            "parallel_build_s": parallel_time,
-            "parallel_speedup": serial_time / parallel_time,
-            "serial_qps": rows[0]["q/s"],
-            "parallel_qps": rows[1]["q/s"],
-        },
-        extras={"n": N, "d": D, "shards": SHARDS, "cores": _usable_cores()},
+        {"build_s": build_time, "qps": row["q/s"]},
+        extras={"n": N, "d": D, "shards": SHARDS},
     )
-    return rows
+    return row
 
 
-def test_e16_merge_matches_oracle(e16_rows):
-    assert all(r["merge ok"] for r in e16_rows)
-
-
-def test_e16_parallel_and_serial_builds_answer_identically(e16_workload):
-    db, queries = e16_workload
-    serial = ShardedANNIndex.build(db, INDEX_SPEC, shards=SHARDS, workers=1)
-    parallel = ShardedANNIndex.build(db, INDEX_SPEC, shards=SHARDS, workers=SHARDS)
-    for s_res, p_res in zip(serial.query_batch(queries), parallel.query_batch(queries)):
-        assert s_res.answer_index == p_res.answer_index
-        assert s_res.probes == p_res.probes
-
-
-@pytest.mark.skipif(
-    _usable_cores() < 2,
-    reason="parallel build cannot beat serial on a single usable core",
-)
-def test_e16_parallel_build_faster_than_serial(e16_rows):
-    parallel_row = next(r for r in e16_rows if r["build"] != "serial")
-    assert parallel_row["speedup"] > 1.0, (
-        f"expected 4-worker build to beat serial, got {parallel_row['speedup']}x"
-    )
+def test_e16_merge_matches_oracle(e16_row):
+    assert e16_row["merge ok"]
 
 
 def test_e16_snapshot_round_trip_at_scale(e16_workload, tmp_path):
     db, queries = e16_workload
-    index = ShardedANNIndex.build(db, INDEX_SPEC, shards=SHARDS, workers=1)
+    index = ShardedANNIndex.build(db, INDEX_SPEC, shards=SHARDS)
     index.save(tmp_path / "e16")
     loaded = ShardedANNIndex.load(tmp_path / "e16")
     for s_res, l_res in zip(

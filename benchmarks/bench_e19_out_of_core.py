@@ -43,7 +43,6 @@ import pytest
 from repro.api import IndexSpec
 from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import flip_random_bits, random_points
-from repro.persistence import MMAP_FORMAT_VERSION
 from repro.service import ShardedANNIndex
 
 # Large-corpus config: Algorithm 2 with c1=c2=64 makes the per-level
@@ -98,9 +97,9 @@ def e19_snapshot(tmp_path_factory):
             for _ in range(QUERIES)
         ]
     )
-    index = ShardedANNIndex.build(db, INDEX_SPEC, shards=SHARDS, workers=1)
+    index = ShardedANNIndex.build(db, INDEX_SPEC, shards=SHARDS)
     path = tmp_path_factory.mktemp("e19") / "snapshot"
-    index.save(path, format_version=MMAP_FORMAT_VERSION)
+    index.save(path)
     qfile = tmp_path_factory.mktemp("e19q") / "queries.npy"
     np.save(qfile, queries)
     return path, queries, qfile

@@ -2,8 +2,8 @@
 
 Demonstrates the format-v3 storage layer (:mod:`repro.storage`):
 
-1. build a sharded index and save it with ``format_version=3`` — every
-   array payload becomes its own raw ``.npy`` file the OS can map;
+1. build a sharded index and save it — every array payload becomes its
+   own raw ``.npy`` file the OS can map;
 2. load it with ``load_mode="mmap"``: no shard attaches until a query
    needs it, and attached shards hold memory-mapped payloads that page
    in lazily;
@@ -42,7 +42,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         snapshot = Path(tmp) / "v3"
-        sharded.save(snapshot, format_version=3)
+        sharded.save(snapshot)
         payloads = sorted(p for p in snapshot.rglob("*.npy"))
         print(f"format-v3 snapshot: {len(payloads)} raw .npy payloads")
 

@@ -3,7 +3,7 @@
 Demonstrates the serving substrate added on top of the batched engine:
 
 1. build an index from a spec and snapshot it to a directory
-   (``manifest.json`` + ``database.npz`` + ``arrays.npz``);
+   (``manifest.json`` + ``database/`` + ``arrays/`` payload trees);
 2. load it back and verify the answers are bitwise-identical;
 3. build a 4-shard :class:`~repro.service.sharded.ShardedANNIndex`,
    query through the fan-out/merge path, and round-trip it through its

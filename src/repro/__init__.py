@@ -23,10 +23,10 @@ The package provides:
 * the experiment harness (:mod:`repro.analysis`, :mod:`repro.workloads`)
   behind the benches in ``benchmarks/``;
 * index persistence (:mod:`repro.persistence`: ``ANNIndex.save``/``load``
-  snapshots that answer bitwise-identically; format v2 carries live
-  mutation state) and sharded serving
-  (:class:`~repro.service.sharded.ShardedANNIndex`: parallel per-shard
-  builds, fan-out querying, true-distance merging, inserts routed to the
+  snapshots that answer bitwise-identically and carry live mutation
+  state) and sharded serving
+  (:class:`~repro.service.sharded.ShardedANNIndex`: per-shard builds,
+  fan-out querying, true-distance merging, inserts routed to the
   smallest shard);
 * **mutable indexes** (:mod:`repro.core.mutable`): ``ANNIndex.insert`` /
   ``delete`` / ``compact`` — tombstone bitmap consulted at result-merge

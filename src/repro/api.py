@@ -2,8 +2,7 @@
 
 An :class:`IndexSpec` is a frozen, validated description of *which*
 scheme to build and *how* — scheme name, per-scheme parameters, the
-public-coin seed, and the boost (parallel-repetition) factor.  It
-replaces the kwarg sprawl of the legacy ``ANNIndex.build`` and is the
+public-coin seed, and the boost (parallel-repetition) factor.  It is the
 one value that flows through every construction path::
 
     from repro import ANNIndex, IndexSpec

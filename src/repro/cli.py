@@ -34,7 +34,7 @@ guide in ``docs/SERVING.md``.
 ``mutate --index DIR`` applies streaming inserts/deletes to a snapshot
 (``--insert-random M``, ``--delete ID ...``), optionally forces a
 compaction (``--compact``), and writes the mutated snapshot back
-(format v2: tombstones + memtable + generation ride along) — the CI
+(tombstones + memtable + generation ride along) — the CI
 mutate→compact→save→load→query smoke path.
 """
 
@@ -140,8 +140,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     spec = _spec_for(args.scheme, args, overrides=overrides).replace(boost=args.boost)
     if args.shards > 1:
         index = ShardedANNIndex.build(
-            wl.database, spec, shards=args.shards,
-            workers=args.workers, warm=not args.cold,
+            wl.database, spec, shards=args.shards, warm=not args.cold
         )
         cells = index.size_report().table_cells
     else:
@@ -149,9 +148,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         if not args.cold:
             index.prepare()
         cells = index.size_report().table_cells
-    path = index.save(
-        args.out, extras=_workload_extras(args), format_version=args.format_version
-    )
+    path = index.save(args.out, extras=_workload_extras(args))
     print_table(
         f"Built index → {path}",
         [{
@@ -228,9 +225,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             from repro.analysis.tradeoff import evaluate_index
             from repro.service.sharded import ShardedANNIndex
 
-            sharded = ShardedANNIndex.build(
-                wl.database, spec, shards=args.shards, workers=args.workers
-            )
+            sharded = ShardedANNIndex.build(wl.database, spec, shards=args.shards)
             summary = evaluate_index(sharded, wl, gamma)
             label = summary.scheme
         else:
@@ -426,8 +421,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         durability = f", wal={args.log_dir}" if args.log_dir else ""
         print(
             f"routing {len(shard_map)} shard(s) × {replicas} replica(s) "
-            f"on {host}:{port}  [timeout={args.timeout:g}s, "
-            f"hedge_ms={args.hedge_ms:g}{durability}]",
+            f"on {host}:{port}  [timeout={args.timeout:g}s{durability}]",
             flush=True,
         )
         if args.ready_file:
@@ -440,7 +434,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.port,
                 timeout=args.timeout,
-                hedge_ms=args.hedge_ms,
                 health_interval=args.health_interval,
                 ready_cb=ready,
                 log_dir=args.log_dir,
@@ -468,13 +461,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
         raise SystemExit(
             "mutate needs --insert-random M, --delete ID ..., and/or --compact"
         )
-    manifest = read_manifest(args.index)
-    extras = manifest.get("extras", {})
-    # Re-save in the snapshot's own layout (a mutated v3 snapshot stays
-    # mmap-loadable); pre-v3 snapshots keep writing the v2 default.
-    format_version = (
-        manifest["format_version"] if manifest["format_version"] >= 3 else None
-    )
+    extras = read_manifest(args.index).get("extras", {})
     index = load_any(args.index)
     # Deletes run first: --delete ids refer to the on-disk snapshot's
     # numbering, and an insert that trips the amortized compaction would
@@ -487,9 +474,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
         inserted = index.insert(random_points(rng, args.insert_random, index.d))
     if args.compact:
         index.compact()
-    path = index.save(
-        args.out or args.index, extras=extras, format_version=format_version
-    )
+    path = index.save(args.out or args.index, extras=extras)
     parts = getattr(index, "shards", None) or [index]
     generations = [shard.generation for shard in parts]
     print_table(
@@ -677,8 +662,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="evaluate a saved index snapshot instead of building")
     p.add_argument("--shards", type=int, default=1,
                    help="serve each scheme through a ShardedANNIndex with S shards")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel shard-build worker processes")
     kernel_opt(p)
     p.set_defaults(fn=_cmd_bench)
 
@@ -691,15 +674,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="parallel-repetition copies")
     p.add_argument("--shards", type=int, default=1,
                    help="partition into S shards (ShardedANNIndex snapshot)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel shard-build worker processes")
     p.add_argument("--cold", action="store_true",
                    help="skip preprocessing warm-up before saving")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="snapshot directory to write")
-    p.add_argument("--format-version", type=int, default=None, choices=(2, 3),
-                   help="snapshot layout: 2 (default, compressed .npz) or 3 "
-                        "(raw .npy payloads, required for --load-mode mmap)")
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser(
@@ -786,8 +764,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 binds an ephemeral port)")
     p.add_argument("--timeout", type=float, default=5.0,
                    help="per-replica request timeout in seconds")
-    p.add_argument("--hedge-ms", type=float, default=0.0,
-                   help="hedge reads to a sibling after this many ms (0 = off)")
     p.add_argument("--health-interval", type=float, default=0.5,
                    help="seconds between replica health sweeps")
     p.add_argument("--ready-file", metavar="PATH",

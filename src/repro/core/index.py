@@ -22,16 +22,12 @@ surviving rows through the registry under the generation seed
 bitwise-identical to a from-scratch build on the survivors (see
 :mod:`repro.core.mutable` for the exact contract).
 
-The legacy kwarg constructor ``ANNIndex.build(...)`` remains as a thin
-deprecated shim that assembles the equivalent spec internally.
-
 Accepts either raw 0/1 bit arrays or pre-packed
 :class:`~repro.hamming.points.PackedPoints`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -43,7 +39,6 @@ from repro.core.mutable import (
     MutationState,
     generation_seed,
 )
-from repro.core.params import Algorithm2Params, BaseParameters
 from repro.core.result import QueryResult
 from repro.hamming.packing import pack_bits
 from repro.hamming.points import PackedPoints
@@ -134,79 +129,20 @@ class ANNIndex:
             db, build_scheme(db, spec), spec=spec, compact_threshold=compact_threshold
         )
 
-    @classmethod
-    def build(
-        cls,
-        database: DatabaseLike,
-        gamma: float = 4.0,
-        rounds: int = 2,
-        algorithm: str = "auto",
-        boost: int = 1,
-        seed: Optional[int] = None,
-        c1: float = 6.0,
-        c2: float = 6.0,
-        profile: str = "empirical",
-        algorithm2_c: float = 3.0,
-        algorithm2_s: Optional[int] = None,
-    ) -> "ANNIndex":
-        """Deprecated kwarg constructor; use :meth:`from_spec`.
-
-        Builds the equivalent :class:`~repro.api.IndexSpec` internally
-        (same seeds, same schemes, same answers) and is kept only so
-        existing callers keep working.  ``algorithm="auto"`` resolves to
-        "algorithm2" when its ``s ≥ 1`` constraint admits the requested
-        ``k``, else "algorithm1", exactly as before.
-        """
-        warnings.warn(
-            "ANNIndex.build(**kwargs) is deprecated; build an IndexSpec and "
-            "use ANNIndex.from_spec(db, spec) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        db = _coerce_database(database)
-        if algorithm == "auto":
-            base = BaseParameters.for_database(
-                db, gamma=gamma, c1=c1, c2=c2, profile=profile
-            )
-            try:
-                Algorithm2Params(base, k=rounds, c=algorithm2_c, s_override=algorithm2_s)
-                algorithm = "algorithm2"
-            except ValueError:
-                algorithm = "algorithm1"
-        geometry = {"gamma": gamma, "c1": c1, "c2": c2, "profile": profile}
-        if algorithm == "algorithm1":
-            params = {**geometry, "rounds": rounds}
-        elif algorithm == "algorithm2":
-            params = {**geometry, "rounds": rounds, "c": algorithm2_c, "s": algorithm2_s}
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        return cls.from_spec(
-            db, IndexSpec(scheme=algorithm, params=params, seed=seed, boost=boost)
-        )
-
     # -- persistence -------------------------------------------------------
-    def save(self, path, extras=None, write_seq=0, format_version=None) -> "str":
+    def save(self, path, extras=None, write_seq=0) -> "str":
         """Snapshot this index to a directory (see :mod:`repro.persistence`).
 
         Writes a JSON manifest (format version + spec + seed), the packed
-        database, and the scheme's array payloads.  ``extras`` (JSON-able
-        mapping) lands in the manifest for harnesses to read back;
-        ``write_seq`` records the replicated write-log position for shard
-        replicas (``docs/DISTRIBUTED.md``).  ``format_version=3`` writes
-        the raw-payload layout that :meth:`load` can memory-map
-        (``load_mode="mmap"``); the default stays the v2 ``.npz`` layout.
+        database, and the scheme's array payloads as raw ``.npy`` files
+        that :meth:`load` can also memory-map (``load_mode="mmap"``).
+        ``extras`` (JSON-able mapping) lands in the manifest for harnesses
+        to read back; ``write_seq`` records the replicated write-log
+        position for shard replicas (``docs/DISTRIBUTED.md``).
         """
         from repro.persistence import save_index
 
-        return str(
-            save_index(
-                self,
-                path,
-                extras=extras,
-                write_seq=write_seq,
-                format_version=format_version,
-            )
-        )
+        return str(save_index(self, path, extras=extras, write_seq=write_seq))
 
     @classmethod
     def load(cls, path, load_mode: str = "heap") -> "ANNIndex":
@@ -224,9 +160,8 @@ class ANNIndex:
 
     def prepare(self) -> "ANNIndex":
         """Materialize deferred preprocessing now (sketch masks, per-level
-        database sketches).  Returns ``self``; the sharded builder runs
-        this in worker processes so the work parallelizes and ships to the
-        parent through :meth:`save` payloads."""
+        database sketches).  Returns ``self``; a snapshot saved afterwards
+        carries the warmed arrays, so its loads skip that work."""
         self.scheme.prewarm()
         return self
 

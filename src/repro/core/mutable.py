@@ -305,7 +305,7 @@ class MutationState:
 
     # -- persistence hooks -------------------------------------------------
     def export_arrays(self) -> dict:
-        """The snapshot-format-v2 mutation payload (``database.npz`` keys)."""
+        """The snapshot mutation payload (``database/`` payload keys)."""
         words, deleted = self.memtable.all_entries()
         return {
             "tombstones": self.tombstones.astype(np.uint8),
@@ -319,7 +319,7 @@ class MutationState:
         memtable_words: np.ndarray,
         memtable_deleted: np.ndarray,
     ) -> None:
-        """Install a v2 snapshot's mutation payload (validating shapes)."""
+        """Install a snapshot's mutation payload (validating shapes)."""
         stones = np.asarray(tombstones)
         if stones.shape != (self.n_static,):
             raise ValueError(

@@ -953,7 +953,7 @@ class TypedErrorsChecker(Checker):
     DESCRIPTION = (
         "Wire- and snapshot-facing paths (repro.service, repro.persistence, "
         "repro.storage) must raise their module's typed error taxonomy so "
-        "callers can catch-and-map faults (retry/hedge/failover) without "
+        "callers can catch-and-map faults (retry/failover) without "
         "string-matching; bare Exception/RuntimeError is invisible to that "
         "machinery. ValueError/TypeError stay allowed for argument "
         "validation."

@@ -18,9 +18,6 @@ Backends
     loaded through ``ctypes``: fused XOR+popcount loops, no Python-level
     temporaries.  Registers only when a working compiler is found (set
     ``REPRO_NO_CBITS=1`` to skip the build entirely).
-``numba``
-    ``@njit(parallel=True)`` SWAR popcount kernels.  Registers only when
-    numba is importable.
 
 Selection flows through exactly one runtime surface:
 
@@ -39,7 +36,6 @@ suite over adversarial shapes.
 
 from __future__ import annotations
 
-import importlib
 import os
 import threading
 import warnings
@@ -69,7 +65,7 @@ ENV_VAR = "REPRO_KERNEL"
 # Every backend name this build knows how to construct, available or not.
 # Test suites parametrize over this tuple so missing backends show up as
 # explicit skips instead of silently shrinking coverage.
-KNOWN_KERNELS: Tuple[str, ...] = ("reference", "cbits", "numba")
+KNOWN_KERNELS: Tuple[str, ...] = ("reference", "cbits")
 
 
 class ScratchPool:
@@ -274,9 +270,9 @@ def _self_check(backend: KernelBackend) -> None:
 
 
 def _discover() -> None:
-    """Register the reference backend, then try each optional one.
+    """Register the reference backend, then try the optional ``cbits`` one.
 
-    Optional backends fail *loudly but gracefully*: any exception during
+    The optional backend fails *loudly but gracefully*: any exception during
     import/build/self-check is recorded in :func:`unavailable_kernels`
     (surfaced by ``set_kernel`` errors and ``kernel_info``) instead of
     breaking import — the seam always works on ``reference``.
@@ -286,16 +282,14 @@ def _discover() -> None:
 
     _ACTIVE = register_kernel(ReferenceBackend())
 
-    for name, module in (
-        ("cbits", "repro.hamming._cbits"),
-        ("numba", "repro.hamming._numba_backend"),
-    ):
-        try:
-            backend = importlib.import_module(module).build_backend()
-            _self_check(backend)
-            register_kernel(backend)
-        except Exception as exc:  # noqa: BLE001 - record, never break import
-            _UNAVAILABLE[name] = f"{type(exc).__name__}: {exc}"
+    try:
+        from repro.hamming._cbits import build_backend
+
+        backend = build_backend()
+        _self_check(backend)
+        register_kernel(backend)
+    except Exception as exc:  # noqa: BLE001 - record, never break import
+        _UNAVAILABLE["cbits"] = f"{type(exc).__name__}: {exc}"
 
 
 def _apply_env() -> None:

@@ -1,32 +1,33 @@
 """On-disk snapshots of built indexes: the persistence codec.
 
-An index snapshot is a directory with three files (FAISS-style index I/O,
-adapted to the lazy-table simulator):
+An index snapshot is a directory holding a JSON manifest and a tree of
+raw ``.npy`` payload files (FAISS-style index I/O, adapted to the
+lazy-table simulator):
 
 ``manifest.json``
     Format name + version, the index's :meth:`IndexSpec.to_dict()
     <repro.api.IndexSpec.to_dict>` (always with a *concrete* seed — see
     below), the database geometry ``(n, d)``, the scheme name, the array
-    payload keys, and free-form ``extras`` (the CLI records its workload
-    there so ``bench --index`` can regenerate the matching queries).
+    payload keys, the mutation layer's ``generation`` counter,
+    ``compact_threshold`` and ``live_n`` (a consistency check on the
+    restored state), the ``payloads`` file index, and free-form
+    ``extras`` (the CLI records its workload there so ``bench --index``
+    can regenerate the matching queries).
 
-``database.npz``
-    The packed database: the ``(n, W)`` uint64 word matrix plus ``d``.
-    Since format version 2 it also carries the mutation layer's state
-    (:mod:`repro.core.mutable`): the ``tombstones`` bitmap over the
-    static rows, the ``memtable_words`` of buffered inserts, and their
-    ``memtable_deleted`` flags; the manifest records the ``generation``
-    counter and ``compact_threshold``, plus ``live_n`` as a consistency
-    check on the restored state.  Version-1 snapshots load as clean
-    generation-0 indexes.
+``database/``
+    The packed database (``words.npy``, the ``(n, W)`` uint64 word
+    matrix) plus the mutation layer's state (:mod:`repro.core.mutable`):
+    the ``tombstones`` bitmap over the static rows, the
+    ``memtable_words`` of buffered inserts, and their
+    ``memtable_deleted`` flags.
 
-``arrays.npz``
+``arrays/``
     The scheme's array payloads from
     :meth:`~repro.cellprobe.scheme.CellProbingScheme.export_arrays`:
     per-level parity sketch masks, materialized database sketches, LSH
     sampled-bit positions, data-dependent pivots/dispatch masks — nested
     components namespaced by ``/``-separated keys (boosted copies under
-    ``copy<i>/``).
+    ``copy<i>/``), one file per key (:mod:`repro.storage.layout`).
 
 Loading rebuilds the scheme through the registry from the manifest's spec
 — every scheme derives all randomness from the spec's seed through
@@ -36,37 +37,34 @@ database sketches) are primed so the loaded index answers without
 recomputing preprocessing, and eagerly-rebuilt state (bucket hash
 positions, pivots) is verified against the payload so a corrupted or
 mismatched snapshot fails loudly instead of answering from different
-randomness.
+randomness.  ``load(..., load_mode="mmap")`` maps the packed database and
+large scheme arrays zero-copy instead, so a served index pages data in on
+demand; mutation state is always loaded into heap — it mutates.
 
 Concrete seeds are what make this sound: :meth:`ANNIndex.from_spec
 <repro.core.index.ANNIndex.from_spec>` pins ``seed=None`` specs to fresh
 entropy at build time, so every built index carries a seed that replays
 its exact public coins.
 
-**Format v3 (opt-in, out-of-core):** ``save(..., format_version=3)``
-replaces the two ``.npz`` archives with a raw ``.npy`` payload tree
-(``database/words.npy``, ``arrays/<key>.npy`` — see
-:mod:`repro.storage.layout`) indexed by the manifest's ``payloads``
-field.  Uncompressed payloads cost disk but buy
-``load(..., load_mode="mmap")``: the packed database and large scheme
-arrays are memory-mapped zero-copy, so a served index pages data in on
-demand instead of materializing everything at load time.  Mutation
-state (tombstones/memtable) is always loaded into heap — it mutates.
-v2 stays the default write format; loading a v2 snapshot with
-``load_mode="mmap"`` raises a clear error naming v3.
+**Format versions:** every save writes :data:`FORMAT_VERSION` (3).
+Snapshots of the two older layouts stay readable in heap mode: v2 stored
+the database and mutation state in ``database.npz`` and the scheme
+arrays in ``arrays.npz``; v1 is v2 without mutation state, and loads as a
+clean generation-0 index.  Compressed ``.npz`` members cannot be mapped,
+so loading a v1/v2 snapshot with ``load_mode="mmap"`` raises a typed
+error; saving over one writes v3 and removes the archives.
 
 **Crash safety / save epochs:** the manifest is the *sole* commit
-point.  Every save writes its data files under fresh names — the first
-save into a directory (``save_epoch`` 0) uses the canonical names
-above; each overwrite bumps the epoch and writes ``database-<epoch>.npz``
-/ ``arrays-<epoch>.npz`` (v2, recorded as ``database_file`` /
-``arrays_file``) or a ``payloads-<epoch>/`` tree (v3, recorded as
-``payload_root``).  Data files are fsync'd and renamed into place, the
-manifest commits atomically last, and only then is the previous epoch
-pruned.  A save killed at any point leaves the directory loading as the
-old committed state, the new state, or (fresh directories only) a typed
-error — never a torn mixture, and an in-place checkpoint never disturbs
-the snapshot it replaces (``tests/core/test_crash_safety.py``).
+point.  Every save writes its payload tree under a fresh root — the first
+save into a directory (``save_epoch`` 0) uses ``database/`` and
+``arrays/`` directly; each overwrite bumps the epoch and writes under
+``payloads-<epoch>/`` (recorded as ``payload_root``).  Payload files are
+fsync'd and renamed into place, the manifest commits atomically last, and
+only then is the previous epoch pruned.  A save killed at any point
+leaves the directory loading as the old committed state, the new state,
+or (fresh directories only) a typed error — never a torn mixture, and an
+in-place checkpoint never disturbs the snapshot it replaces
+(``tests/core/test_crash_safety.py``).
 
 The full on-disk format specification — manifest fields, the
 format-version policy, per-scheme payload keys, and the tamper checks —
@@ -83,13 +81,13 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
 
 import numpy as np
 
+from repro.storage import layout
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import ANNIndex
 
 __all__ = [
     "FORMAT_VERSION",
-    "MAX_FORMAT_VERSION",
-    "MMAP_FORMAT_VERSION",
     "IndexPersistenceError",
     "load_any",
     "load_index",
@@ -98,23 +96,11 @@ __all__ = [
     "snapshot_write_seq",
 ]
 
-#: The *default* write version; bump when the directory layout or payload
-#: semantics change.  v2 (mutable indexes): database.npz grew
-#: tombstones/memtable payloads, the manifest grew
-#: generation/live_n/compact_threshold.  v1 snapshots still load (as
-#: clean generation-0 indexes).
-FORMAT_VERSION = 2
-
-#: The opt-in out-of-core layout (``save(..., format_version=3)``): the
-#: packed database and per-scheme arrays become raw ``.npy`` payload
-#: files (:mod:`repro.storage.layout`) indexed by the manifest, so
-#: ``load(..., load_mode="mmap")`` maps them zero-copy.  v2 stays the
-#: default so snapshots remain readable by v2-only deployments until
-#: mmap loading is actually wanted.
-MMAP_FORMAT_VERSION = 3
-
-#: Newest version this build can read (writes default to FORMAT_VERSION).
-MAX_FORMAT_VERSION = 3
+#: The version every save writes, and the newest this build reads: the
+#: raw ``.npy`` payload tree (:mod:`repro.storage.layout`) indexed by the
+#: manifest, which ``load(..., load_mode="mmap")`` maps zero-copy.
+#: Versions 1 and 2 (``.npz`` archives) are read-only.
+FORMAT_VERSION = 3
 
 #: Load modes :func:`load_index` accepts: ``"heap"`` materializes every
 #: payload; ``"mmap"`` (format v3 only) maps the packed database and
@@ -123,6 +109,7 @@ LOAD_MODES = ("heap", "mmap")
 
 FORMAT_NAME = "repro-ann-index"
 MANIFEST_FILE = "manifest.json"
+#: The archives a v1/v2 snapshot keeps its payloads in.
 DATABASE_FILE = "database.npz"
 ARRAYS_FILE = "arrays.npz"
 
@@ -190,10 +177,10 @@ def read_manifest(path: PathLike) -> Dict[str, object]:
             f"expected {FORMAT_NAME!r}"
         )
     version = manifest.get("format_version")
-    if not isinstance(version, int) or version < 1 or version > MAX_FORMAT_VERSION:
+    if not isinstance(version, int) or version < 1 or version > FORMAT_VERSION:
         raise IndexPersistenceError(
             f"unsupported index format version {version!r} in {manifest_path} "
-            f"(this build reads versions 1..{MAX_FORMAT_VERSION})"
+            f"(this build reads versions 1..{FORMAT_VERSION})"
         )
     return manifest
 
@@ -207,27 +194,16 @@ def check_load_mode(load_mode: str) -> str:
     return load_mode
 
 
-def _require_mmap_version(directory: Path, version: int) -> None:
-    """The satellite contract: v2 + mmap is a clear error, not a KeyError."""
-    if version < MMAP_FORMAT_VERSION:
+def require_mappable(directory: Path, version: int) -> None:
+    """A v1/v2 snapshot under an mmap or lazy load is a typed error."""
+    if version < FORMAT_VERSION:
         raise IndexPersistenceError(
             f"snapshot {directory} is format v{version}, whose compressed "
-            f".npz payloads cannot be memory-mapped; load_mode='mmap' needs "
-            f"format v{MMAP_FORMAT_VERSION} — re-save the index with "
-            f"save(..., format_version={MMAP_FORMAT_VERSION}) "
-            f"(CLI: build --format-version {MMAP_FORMAT_VERSION})"
+            f".npz payloads cannot be memory-mapped; load_mode='mmap' and "
+            f"lazy sharded loads need format v{FORMAT_VERSION} — load it in "
+            f"heap mode and save it again (every save writes "
+            f"v{FORMAT_VERSION})"
         )
-
-
-def check_format_version(format_version: Optional[int]) -> int:
-    """Resolve a ``format_version`` argument to a writable version."""
-    version = FORMAT_VERSION if format_version is None else int(format_version)
-    if version not in (FORMAT_VERSION, MMAP_FORMAT_VERSION):
-        raise IndexPersistenceError(
-            f"cannot write format version {version!r}; this build writes "
-            f"v{FORMAT_VERSION} (default) or v{MMAP_FORMAT_VERSION} (mmap)"
-        )
-    return version
 
 
 def _next_save_epoch(directory: Path) -> int:
@@ -249,15 +225,7 @@ def _next_save_epoch(directory: Path) -> int:
     return (epoch if isinstance(epoch, int) and epoch >= 0 else 0) + 1
 
 
-def _epoch_file(base: str, epoch: int) -> str:
-    """``database.npz`` → ``database-00000001.npz`` for epoch 1, etc."""
-    if epoch == 0:
-        return base
-    stem, dot, suffix = base.partition(".")
-    return f"{stem}-{epoch:08d}{dot}{suffix}"
-
-
-#: Epoch-suffixed v3 payload roots: ``payloads-00000001/database/...``.
+#: Epoch-suffixed payload roots: ``payloads-00000001/database/...``.
 _PAYLOAD_ROOT_PREFIX = "payloads-"
 
 
@@ -265,18 +233,8 @@ def _payload_root_name(epoch: int) -> str:
     return "" if epoch == 0 else f"{_PAYLOAD_ROOT_PREFIX}{epoch:08d}"
 
 
-def _write_npz_atomic(target: Path, arrays: Mapping[str, object]) -> None:
-    """Write one ``.npz`` archive via temp + fsync + ``os.replace``."""
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
-
-
 def _manifest_filename(manifest: Mapping[str, object], key: str, default: str) -> str:
-    """Resolve a manifest-recorded data file name (plain names only)."""
+    """Resolve a v2 manifest's recorded archive name (plain names only)."""
     name = manifest.get(key) or default
     if not isinstance(name, str) or "/" in name or "\\" in name or name in (".", ".."):
         raise IndexPersistenceError(
@@ -286,7 +244,7 @@ def _manifest_filename(manifest: Mapping[str, object], key: str, default: str) -
 
 
 def _payload_root(directory: Path, manifest: Mapping[str, object]) -> Path:
-    """The directory a v3 snapshot's payload tree lives under."""
+    """The directory a snapshot's payload tree lives under."""
     root = manifest.get("payload_root") or ""
     if root:
         if not isinstance(root, str) or "/" in root or "\\" in root or root in (".", ".."):
@@ -303,8 +261,8 @@ def _prune_stale_payloads(directory: Path, manifest: Mapping[str, object]) -> No
 
     Runs *after* the manifest commit, so a crash anywhere in the save
     leaves the previously committed snapshot untouched.  Covers old
-    epochs' archives/payload roots, the other layout's files after a
-    v2↔v3 re-save, and temp litter from saves that crashed mid-write.
+    epochs' payload roots, the ``.npz`` archives of a v1/v2 snapshot
+    saved over, and temp litter from saves that crashed mid-write.
     Unlinking files an mmap'd index (this process or a sibling) still
     maps is safe — POSIX keeps the inode alive for existing mappings.
     Best-effort: the manifest no longer names these files, so a failed
@@ -312,19 +270,8 @@ def _prune_stale_payloads(directory: Path, manifest: Mapping[str, object]) -> No
     """
     import shutil
 
-    from repro.storage import layout
-
-    version = int(manifest["format_version"])
-    keep = set()
-    if version >= MMAP_FORMAT_VERSION:
-        root = str(manifest.get("payload_root") or "")
-        if root:
-            keep.add(root)
-        else:
-            keep.update((layout.DATABASE_DIR, layout.ARRAYS_DIR))
-    else:
-        keep.add(_manifest_filename(manifest, "database_file", DATABASE_FILE))
-        keep.add(_manifest_filename(manifest, "arrays_file", ARRAYS_FILE))
+    root = str(manifest.get("payload_root") or "")
+    keep = {root} if root else {layout.DATABASE_DIR, layout.ARRAYS_DIR}
     for entry in directory.iterdir():
         name = entry.name
         if name in keep:
@@ -354,7 +301,6 @@ def save_index(
     path: PathLike,
     extras: Optional[Mapping[str, object]] = None,
     write_seq: int = 0,
-    format_version: Optional[int] = None,
 ) -> Path:
     """Snapshot a built :class:`~repro.core.index.ANNIndex` to ``path``.
 
@@ -364,24 +310,19 @@ def save_index(
     sequence number this index has applied (see ``docs/DISTRIBUTED.md``);
     a replica restarted from the snapshot resumes catch-up from there.
     Snapshots written before the field existed read back as 0 through
-    :func:`snapshot_write_seq`.
+    :func:`snapshot_write_seq`.  The snapshot is always format
+    :data:`FORMAT_VERSION`, which both load modes accept.  Returns the
+    directory path.
 
-    ``format_version`` selects the layout: ``None``/:data:`FORMAT_VERSION`
-    writes the default v2 ``.npz`` snapshot (readable by every v2
-    deployment); :data:`MMAP_FORMAT_VERSION` writes the raw ``.npy``
-    payload tree that ``load(..., load_mode="mmap")`` maps zero-copy.
-    Returns the directory path.
-
-    Saves are crash-safe end to end, including overwrites: data files
-    go to *fresh* epoch-suffixed names (fsync'd, written via temp +
-    rename), the manifest — which records those names — commits last and
+    Saves are crash-safe end to end, including overwrites: payload files
+    go under a *fresh* epoch root (fsync'd, written via temp + rename),
+    the manifest — which records that root — commits last and
     atomically, and only then are the previous epoch's files pruned.  A
     process killed at any point of a save leaves a directory that loads
     as the old committed state, the new state, or (fresh directory only)
     fails with a typed error — never a torn mixture, and never a
     destroyed predecessor.
     """
-    version = check_format_version(format_version)
     spec = index.spec
     if spec is None:
         raise IndexPersistenceError(
@@ -396,12 +337,24 @@ def save_index(
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     epoch = _next_save_epoch(directory)
+    root_name = _payload_root_name(epoch)
+    root = directory / root_name if root_name else directory
+    root.mkdir(parents=True, exist_ok=True)
     db = index.database
     state = index.mutation
     arrays = index.scheme.export_arrays()
+    try:
+        payloads = layout.write_payloads(
+            root,
+            layout.DATABASE_DIR,
+            {"words": db.words, **state.export_arrays()},
+        )
+        payloads.update(layout.write_payloads(root, layout.ARRAYS_DIR, arrays))
+    except layout.StorageLayoutError as exc:
+        raise IndexPersistenceError(str(exc)) from exc
     manifest = {
         "format": FORMAT_NAME,
-        "format_version": version,
+        "format_version": FORMAT_VERSION,
         "kind": KIND_INDEX,
         "spec": spec.to_dict(),
         "seed": spec.seed,
@@ -414,35 +367,10 @@ def save_index(
         "array_keys": sorted(arrays),
         "write_seq": int(write_seq),
         "save_epoch": epoch,
+        "payloads": payloads,
+        "payload_root": root_name,
         "extras": dict(extras or {}),
     }
-    if version >= MMAP_FORMAT_VERSION:
-        from repro.storage import layout
-
-        root_name = _payload_root_name(epoch)
-        root = directory / root_name if root_name else directory
-        root.mkdir(parents=True, exist_ok=True)
-        try:
-            payloads = layout.write_payloads(
-                root,
-                layout.DATABASE_DIR,
-                {"words": db.words, **state.export_arrays()},
-            )
-            payloads.update(layout.write_payloads(root, layout.ARRAYS_DIR, arrays))
-        except layout.StorageLayoutError as exc:
-            raise IndexPersistenceError(str(exc)) from exc
-        manifest["payloads"] = payloads
-        manifest["payload_root"] = root_name
-    else:
-        db_file = _epoch_file(DATABASE_FILE, epoch)
-        arrays_file = _epoch_file(ARRAYS_FILE, epoch)
-        _write_npz_atomic(
-            directory / db_file,
-            {"words": db.words, "d": np.int64(db.d), **state.export_arrays()},
-        )
-        _write_npz_atomic(directory / arrays_file, arrays)
-        manifest["database_file"] = db_file
-        manifest["arrays_file"] = arrays_file
     _write_manifest(directory, manifest)
     _prune_stale_payloads(directory, manifest)
     return directory
@@ -489,7 +417,7 @@ def _read_npz(directory: Path, filename: str) -> Dict[str, np.ndarray]:
 
 
 def _load_database(directory: Path, version: int, manifest: Mapping[str, object]):
-    """The packed database plus (for v2) the mutation payload triple."""
+    """A v1/v2 snapshot's packed database plus (v2) its mutation triple."""
     from repro.hamming.points import PackedPoints
 
     db_file = _manifest_filename(manifest, "database_file", DATABASE_FILE)
@@ -538,7 +466,6 @@ def _load_database_v3(directory: Path, manifest: Mapping[str, object], load_mode
     lazy load.
     """
     from repro.hamming.points import PackedPoints
-    from repro.storage import layout
 
     payloads = payload_index(directory, manifest)
     root = _payload_root(directory, manifest)
@@ -576,8 +503,6 @@ def _read_arrays_v3(
     directory: Path, manifest: Mapping[str, object], load_mode: str
 ) -> Dict[str, np.ndarray]:
     """The scheme's array payloads from the v3 tree, keyed like the npz."""
-    from repro.storage import layout
-
     try:
         return layout.read_group(
             _payload_root(directory, manifest),
@@ -598,10 +523,10 @@ def load_index(path: PathLike, load_mode: str = "heap") -> "ANNIndex":
     payloads are installed on top, and any tombstones/memtable state is
     restored and checked against the manifest's ``live_n``.
 
-    ``load_mode="mmap"`` (format v3 only) maps the packed database and
-    large scheme arrays zero-copy instead of materializing them; answers
-    and probe accounting stay bitwise-identical to ``"heap"``, the
-    default.
+    ``load_mode="mmap"`` maps the packed database and large scheme
+    arrays zero-copy instead of materializing them; answers and probe
+    accounting stay bitwise-identical to ``"heap"``, the default.  v1/v2
+    snapshots load in heap mode only.
     """
     from repro.api import IndexSpec
     from repro.core.index import ANNIndex
@@ -618,8 +543,8 @@ def load_index(path: PathLike, load_mode: str = "heap") -> "ANNIndex":
         )
     version = int(manifest["format_version"])
     if load_mode == "mmap":
-        _require_mmap_version(directory, version)
-    if version >= MMAP_FORMAT_VERSION:
+        require_mappable(directory, version)
+    if version >= FORMAT_VERSION:
         database, mutation_payload = _load_database_v3(directory, manifest, load_mode)
     else:
         database, mutation_payload = _load_database(directory, version, manifest)
@@ -635,7 +560,7 @@ def load_index(path: PathLike, load_mode: str = "heap") -> "ANNIndex":
     if generation > 0:
         scheme_spec = spec.replace(seed=generation_seed(spec.seed, generation))
     scheme = build_scheme(database, scheme_spec)
-    if version >= MMAP_FORMAT_VERSION:
+    if version >= FORMAT_VERSION:
         arrays = _read_arrays_v3(directory, manifest, load_mode)
     else:
         arrays = _read_npz(

@@ -16,9 +16,8 @@ any object with ``scheme``/``params``/``seed``/``boost`` attributes works.
 
 Success boosting is handled centrally: ``spec.boost > 1`` wraps the
 factory in :class:`~repro.core.boosting.BoostedScheme` with per-copy
-seeds derived from ``spec.seed`` through the same ``RngTree("copy", i)``
-streams the legacy ``ANNIndex.build`` used, so specs and legacy kwargs
-produce identical schemes for identical seeds.
+seeds derived from ``spec.seed`` through the ``RngTree("copy", i)``
+streams.
 """
 
 from __future__ import annotations
@@ -144,9 +143,7 @@ def resolved_params(spec) -> Dict[str, object]:
 def build_scheme(database, spec) -> CellProbingScheme:
     """Construct the scheme a spec describes, boost wrapping included.
 
-    Per-copy seeds are the ``RngTree(spec.seed)`` streams ``("copy", i)``
-    — the exact derivation the legacy ``ANNIndex.build`` used, so legacy
-    kwargs and their equivalent specs build identical schemes.
+    Per-copy seeds are the ``RngTree(spec.seed)`` streams ``("copy", i)``.
     """
     info = get_scheme(spec.scheme)
     boost = int(getattr(spec, "boost", 1))

@@ -30,11 +30,11 @@ Consistency model (``docs/DISTRIBUTED.md`` for the full matrix):
   has: queries in flight complete against the pre-write state, the
   write applies to all replicas, later queries see it.
 
-Robustness: per-request timeouts with retry on a sibling replica,
-optional hedged reads for slow replicas, a periodic health loop that
-marks replicas dead (and routes around them) and revives them through
-catch-up, and router metrics (per-replica p50/p99, hedges, retries,
-dead/alive transitions) surfaced through the ``stats`` verb.
+Robustness: per-request timeouts with retry on a sibling replica, a
+periodic health loop that marks replicas dead (and routes around them)
+and revives them through catch-up, and router metrics (per-replica
+p50/p99, retries, dead/alive transitions) surfaced through the ``stats``
+verb.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.mutable import coerce_delete_ids
 from repro.hamming.kernels import active_kernel
 from repro.service.replica import (
@@ -55,7 +53,12 @@ from repro.service.replica import (
     ReplicaRequestError,
     ReplicaUnavailableError,
 )
-from repro.service.server import WIRE_LINE_LIMIT, _connection_loop, _jsonable
+from repro.service.server import (
+    WIRE_LINE_LIMIT,
+    _connection_loop,
+    _jsonable,
+    decode_bits,
+)
 from repro.service.wal import WriteAheadLog
 
 __all__ = [
@@ -68,7 +71,6 @@ __all__ = [
 
 #: Router defaults, shared with the CLI's ``route`` flags.
 DEFAULT_TIMEOUT_S = 5.0
-DEFAULT_HEDGE_MS = 0.0  # 0 disables hedged reads
 DEFAULT_HEALTH_INTERVAL_S = 0.5
 
 
@@ -209,9 +211,6 @@ class ShardRouter:
     timeout : per-request timeout (seconds) for replica calls; a replica
         that misses it is marked dead and the request retries on a
         sibling
-    hedge_ms : after this many milliseconds without an answer, fire the
-        same *read* at a sibling replica and take the first success
-        (0 disables)
     health_interval : seconds between health-check sweeps (ping live
         replicas, revive dead ones via catch-up)
     wal : a :class:`~repro.service.wal.WriteAheadLog` making the write
@@ -233,7 +232,6 @@ class ShardRouter:
         self,
         shard_map: Sequence[Sequence[Tuple[str, int]]],
         timeout: float = DEFAULT_TIMEOUT_S,
-        hedge_ms: float = DEFAULT_HEDGE_MS,
         health_interval: float = DEFAULT_HEALTH_INTERVAL_S,
         wal: Optional[WriteAheadLog] = None,
         recover: bool = False,
@@ -243,7 +241,6 @@ class ShardRouter:
         if recover and wal is None:
             raise ValueError("recover=True needs a WriteAheadLog (--log-dir)")
         self.timeout = float(timeout)
-        self.hedge_ms = float(hedge_ms)
         self.health_interval = float(health_interval)
         self._wal = wal
         self._recover = bool(recover)
@@ -278,8 +275,6 @@ class ShardRouter:
                 "inserts",
                 "deletes",
                 "retries",
-                "hedges",
-                "hedge_wins",
                 "dead_transitions",
                 "alive_transitions",
                 "catch_ups",
@@ -528,33 +523,6 @@ class ShardRouter:
             self._mark_dead(replica)
             raise
 
-    async def _hedged(
-        self, primary: _Replica, sibling: _Replica, op: str, payload: dict
-    ) -> dict:
-        """Read from ``primary``; fire ``sibling`` after ``hedge_ms``."""
-        first = asyncio.ensure_future(self._request(primary, op, payload))
-        done, _ = await asyncio.wait({first}, timeout=self.hedge_ms / 1000.0)
-        if done:
-            return first.result()
-        self._counters["hedges"] += 1
-        second = asyncio.ensure_future(self._request(sibling, op, payload))
-        tasks = {first, second}
-        last_exc: Optional[BaseException] = None
-        while tasks:
-            done, tasks = await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
-            for task in done:
-                exc = task.exception()
-                if exc is None:
-                    for pending in tasks:
-                        pending.cancel()
-                    if tasks:
-                        await asyncio.gather(*tasks, return_exceptions=True)
-                    if task is second:
-                        self._counters["hedge_wins"] += 1
-                    return task.result()
-                last_exc = exc
-        raise last_exc  # both attempts failed (each already marked dead)
-
     def _read_order(self, si: int) -> List[_Replica]:
         """Live replicas of a shard, rotated for load spread."""
         alive = [replica for replica in self._replicas[si] if replica.alive]
@@ -564,10 +532,8 @@ class ShardRouter:
         self._rotation[si] += 1
         return alive[start:] + alive[:start]
 
-    async def _shard_read(
-        self, si: int, op: str, payload: dict, hedge: bool = False
-    ) -> dict:
-        """A read against shard ``si``: retry on siblings, optional hedge.
+    async def _shard_read(self, si: int, op: str, payload: dict) -> dict:
+        """A read against shard ``si``: retry on siblings.
 
         Only *live* replicas serve reads — a dead replica may be missing
         writes and would break bitwise equivalence.
@@ -582,10 +548,6 @@ class ShardRouter:
             if attempt > 0:
                 self._counters["retries"] += 1
             try:
-                if hedge and self.hedge_ms > 0 and attempt == 0:
-                    sibling = next((r for r in order[1:] if r.alive), None)
-                    if sibling is not None:
-                        return await self._hedged(replica, sibling, op, payload)
                 return await self._request(replica, op, payload)
             except ReplicaUnavailableError as exc:
                 last_exc = exc
@@ -712,9 +674,10 @@ class ShardRouter:
     def _check_query(self, bits) -> None:
         if not isinstance(bits, list) or not bits:
             raise ValueError("'query' needs a 'bits' array of 0/1 values")
-        if len(bits) != self.d:
+        shape = decode_bits(bits).shape
+        if shape != (self.d,):
             raise ValueError(
-                f"query has {len(bits)} bits, index dimension is {self.d}"
+                f"query has shape {shape}, index dimension is {self.d}"
             )
 
     async def query(self, bits) -> dict:
@@ -724,7 +687,7 @@ class ShardRouter:
             offsets = self._offsets()
             responses = await asyncio.gather(
                 *(
-                    self._shard_read(si, "query", {"bits": bits}, hedge=True)
+                    self._shard_read(si, "query", {"bits": bits})
                     for si in range(self.num_shards)
                 )
             )
@@ -745,9 +708,7 @@ class ShardRouter:
             offsets = self._offsets()
             per_shard = await asyncio.gather(
                 *(
-                    self._shard_read(
-                        si, "query_batch", {"queries": queries}, hedge=True
-                    )
+                    self._shard_read(si, "query_batch", {"queries": queries})
                     for si in range(self.num_shards)
                 )
             )
@@ -772,7 +733,7 @@ class ShardRouter:
         at that moment (ties → smallest shard index), and returned
         global ids are computed against the post-insert offsets.
         """
-        arr = np.asarray(points, dtype=np.uint8)
+        arr = decode_bits(points)
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != self.d:
@@ -1082,7 +1043,6 @@ class ShardRouter:
                 for si, group in enumerate(self._replicas)
             ],
             "timeout_s": self.timeout,
-            "hedge_ms": self.hedge_ms,
             "health_interval_s": self.health_interval,
             "wal": None if self._wal is None else self._wal.describe(),
         }
@@ -1189,7 +1149,6 @@ async def serve_router(
     host: str = "127.0.0.1",
     port: int = 0,
     timeout: float = DEFAULT_TIMEOUT_S,
-    hedge_ms: float = DEFAULT_HEDGE_MS,
     health_interval: float = DEFAULT_HEALTH_INTERVAL_S,
     ready_cb: Optional[Callable[[str, int], None]] = None,
     log_dir: Optional[str] = None,
@@ -1217,7 +1176,6 @@ async def serve_router(
     router = ShardRouter(
         shard_map,
         timeout=timeout,
-        hedge_ms=hedge_ms,
         health_interval=health_interval,
         wal=wal,
         recover=recover,

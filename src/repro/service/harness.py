@@ -324,7 +324,6 @@ class ClusterHarness:
     replicas : R, the replication factor
     workdir : where ready-files and logs go (a temp dir by default)
     router_timeout : router→replica request timeout (seconds)
-    hedge_ms : router hedged-read delay (0 disables)
     health_interval : router health-sweep period (seconds) — also the
         order of magnitude a killed replica needs to be revived
     log_dir : router ``--log-dir`` (a durable per-shard WAL there);
@@ -351,7 +350,6 @@ class ClusterHarness:
         replicas: int = 2,
         workdir=None,
         router_timeout: float = 2.0,
-        hedge_ms: float = 0.0,
         health_interval: float = 0.2,
         max_batch: int = 64,
         max_wait_ms: float = 2.0,
@@ -362,7 +360,6 @@ class ClusterHarness:
     ):
         self.snapshot = Path(snapshot)
         self.router_timeout = float(router_timeout)
-        self.hedge_ms = float(hedge_ms)
         self.health_interval = float(health_interval)
         self._own_workdir = workdir is None
         self.workdir = Path(workdir) if workdir else Path(
@@ -428,8 +425,6 @@ class ClusterHarness:
                     "0",
                     "--timeout",
                     str(self.router_timeout),
-                    "--hedge-ms",
-                    str(self.hedge_ms),
                     "--health-interval",
                     str(self.health_interval),
                     *durability,

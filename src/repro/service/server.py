@@ -54,17 +54,13 @@ import numpy as np
 
 from repro.hamming.kernels import active_kernel
 from repro.hamming.packing import pack_bits, packed_words
-from repro.persistence import (
-    MMAP_FORMAT_VERSION,
-    IndexPersistenceError,
-    read_manifest,
-)
 
 __all__ = [
     "AsyncANNService",
     "ServiceMetrics",
     "ServiceStateError",
     "WriteSequencer",
+    "decode_bits",
     "describe_index",
     "serve",
 ]
@@ -679,8 +675,27 @@ def _result_response(result, distance: Optional[int] = None) -> Dict[str, object
     }
 
 
+def decode_bits(value) -> np.ndarray:
+    """A wire bit row (or list of rows) as a ``uint8`` array.
+
+    Every value must be a JSON integer or boolean equal to 0 or 1 — the
+    rule :func:`~repro.core.mutable.coerce_delete_ids` applies to ids.
+    ``np.asarray(value, dtype=np.uint8)`` would truncate ``0.9`` to 0 and
+    parse ``"1"`` as 1, so a malformed row would be answered or inserted
+    as a different row.  Shared by the shard server and the router.
+    """
+    arr = np.asarray(value)
+    if arr.size and arr.dtype != np.bool_:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"bits must be integers 0 or 1, got {arr.dtype} values")
+        if arr.min() < 0 or arr.max() > 1:
+            bad = arr[(arr < 0) | (arr > 1)]
+            raise ValueError(f"bits must be 0 or 1, got {int(bad[0])}")
+    return arr.astype(np.uint8)
+
+
 def _packed_query(service: AsyncANNService, bits) -> np.ndarray:
-    return service._pack_query(np.asarray(bits, dtype=np.uint8))
+    return service._pack_query(decode_bits(bits))
 
 
 def _query_distance(row: np.ndarray, result) -> Optional[int]:
@@ -778,7 +793,7 @@ async def _handle_request(
             points = request.get("points")
             if not points:
                 raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
-            arr = np.asarray(points, dtype=np.uint8)
+            arr = decode_bits(points)
             seq = request.get("seq")
             if seq is None:
                 ids = await service.insert(arr)
@@ -841,27 +856,9 @@ async def _handle_request(
             def snap():
                 # Runs at a write barrier: gate.applied is exactly the
                 # last write folded into the saved state.  An in-place
-                # save keeps the source snapshot's format (a v3/mmap
-                # snapshot must stay mappable for the next restart) and
-                # only advances snapshot_seq once the save returned —
-                # i.e. once the manifest rename hit the disk.
-                format_version = None
-                if in_place:
-                    try:
-                        manifest = read_manifest(path)
-                        if int(manifest.get("format_version", 0)) >= 3:
-                            format_version = int(manifest["format_version"])
-                    except IndexPersistenceError:
-                        # No prior checkpoint here (e.g. a replica's own
-                        # fresh snapshot directory).  An mmap-loaded
-                        # index must checkpoint as v3 anyway — a restart
-                        # reloads this directory with the same
-                        # --load-mode, and v2 cannot be mapped.
-                        if getattr(service.index, "load_mode", "heap") == "mmap":
-                            format_version = MMAP_FORMAT_VERSION
-                saved = service.index.save(
-                    path, write_seq=gate.applied, format_version=format_version
-                )
+                # save only advances snapshot_seq once the save returned
+                # — i.e. once the manifest rename hit the disk.
+                saved = service.index.save(path, write_seq=gate.applied)
                 if in_place:
                     # Only an in-place save moves the replica's durable
                     # coverage: a restart reloads snapshot_dir, not an

@@ -8,21 +8,17 @@ LSH/ANN services, on top of this package's existing layers:
   of near-equal size; shard ``i`` owns global rows
   ``[offset_i, offset_i + n_i)``, so local answer indexes remap to global
   row ids by adding the shard's offset.
-* **Building** constructs one registry scheme per shard.  Each shard gets
-  its own public coins, derived from the root spec's seed through
-  ``RngTree(seed).child("shard", i)`` (pass ``shared_seed=True`` to give
-  every shard the root seed instead — with one shard that reproduces the
-  unsharded index bitwise).  With ``workers > 1`` shards build in
-  parallel worker processes (``ProcessPoolExecutor``); each worker warms
-  its shard's preprocessing (:meth:`ANNIndex.prepare`) and snapshots it
-  through :mod:`repro.persistence`, and the parent loads the snapshots —
-  the warmed arrays transfer, so parallel build time is real build time.
+* **Building** constructs one registry scheme per shard, in process.
+  Each shard gets its own public coins, derived from the root spec's
+  seed through ``RngTree(seed).child("shard", i)`` (pass
+  ``shared_seed=True`` to give every shard the root seed instead — with
+  one shard that reproduces the unsharded index bitwise).
 * **Residency** (:mod:`repro.storage.residency`): every shard lives
   behind a :class:`~repro.storage.residency.ShardHandle` driven by a
   :class:`~repro.storage.residency.ResidencyManager`.  In-memory builds
   keep every shard attached; :meth:`load` with ``load_mode="mmap"``
   and/or a ``memory_budget`` attaches shards lazily on first use, maps
-  format-v3 payloads zero-copy, and evicts the least-recently-queried
+  their payloads zero-copy, and evicts the least-recently-queried
   clean shards when the resident total exceeds the budget (pinned and
   dirty shards are exempt).  The first *write* to a clean mmap'd shard
   transparently promotes it to a heap reload (copy-on-write at shard
@@ -53,8 +49,6 @@ LSH/ANN services, on top of this package's existing layers:
 
 from __future__ import annotations
 
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -108,25 +102,6 @@ def shard_seed(root_seed: int, shard: int) -> int:
     return RngTree(root_seed).child("shard", shard).root_entropy
 
 
-def _build_shard(payload) -> str:
-    """Worker-process entry: build one shard, warm it, snapshot it.
-
-    Module-level (picklable) on purpose; returns the snapshot directory so
-    the parent can load the warmed index back through the codec (the
-    compaction threshold rides along in the manifest).
-    """
-    words, d, spec_dict, out_dir, warm, compact_threshold = payload
-
-    index = ANNIndex.from_spec(
-        PackedPoints(words, d),
-        IndexSpec.from_dict(spec_dict),
-        compact_threshold=compact_threshold,
-    )
-    if warm:
-        index.prepare()
-    return index.save(out_dir)
-
-
 def _meta_from_index(shard: ANNIndex) -> ShardMeta:
     """Cold metadata for an in-memory shard (resident-size estimate only:
     such handles have no snapshot path, so they can never be evicted and
@@ -146,8 +121,8 @@ def _meta_from_manifest(shard_dir: Path, manifest: Mapping[str, object]) -> Shar
     """Cold metadata from a format-v3 shard manifest — no payload I/O.
 
     The id space needs the memtable row count, which only the v3
-    ``payloads`` index records without opening ``database.npz``; this is
-    why lazy residency requires v3 snapshots.
+    ``payloads`` index records without opening a v2 ``database.npz``;
+    this is why lazy residency requires v3 snapshots.
     """
     from repro import persistence
     from repro.storage import layout
@@ -285,21 +260,17 @@ class ShardedANNIndex:
         database: DatabaseLike,
         spec: IndexSpec,
         shards: int,
-        workers: Optional[int] = None,
         warm: bool = True,
         shared_seed: bool = False,
         compact_threshold: Optional[float] = None,
     ) -> "ShardedANNIndex":
         """Partition ``database`` into ``shards`` and build every shard.
 
-        ``workers > 1`` builds shards in parallel processes (capped at the
-        shard count); ``workers=None``/``0``/``1`` builds serially
-        in-process.  ``warm`` materializes each shard's preprocessing at
-        build time (that is the work that parallelizes).  ``shared_seed``
-        gives every shard the root seed instead of an independent
-        ``RngTree("shard", i)`` derivation.  ``compact_threshold``
-        forwards to every shard's mutation layer (None = the default
-        amortized trigger).
+        ``warm`` materializes each shard's preprocessing at build time
+        (:meth:`ANNIndex.prepare`).  ``shared_seed`` gives every shard the
+        root seed instead of an independent ``RngTree("shard", i)``
+        derivation.  ``compact_threshold`` forwards to every shard's
+        mutation layer (None = the default amortized trigger).
         """
         from repro.core.mutable import DEFAULT_COMPACT_THRESHOLD
 
@@ -313,58 +284,37 @@ class ShardedANNIndex:
             spec if shared_seed else spec.replace(seed=shard_seed(spec.seed, i))
             for i in range(shards)
         ]
-        workers = min(int(workers or 1), shards)
-        if workers <= 1:
-            built = [
-                ANNIndex.from_spec(
-                    db.take(range(start, stop)),
-                    shard_spec,
-                    compact_threshold=threshold,
-                )
-                for (start, stop), shard_spec in zip(bounds, specs)
-            ]
-            if warm:
-                for index in built:
-                    index.prepare()
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-                payloads = [
-                    (
-                        db.words[start:stop],
-                        db.d,
-                        shard_spec.to_dict(),
-                        str(Path(tmp) / f"shard-{i:04d}"),
-                        warm,
-                        threshold,
-                    )
-                    for i, ((start, stop), shard_spec) in enumerate(zip(bounds, specs))
-                ]
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    saved = list(pool.map(_build_shard, payloads))
-                built = [ANNIndex.load(path) for path in saved]
+        built = [
+            ANNIndex.from_spec(
+                db.take(range(start, stop)),
+                shard_spec,
+                compact_threshold=threshold,
+            )
+            for (start, stop), shard_spec in zip(bounds, specs)
+        ]
+        if warm:
+            for index in built:
+                index.prepare()
         return cls(built, [start for start, _ in bounds], spec=spec)
 
     # -- persistence -------------------------------------------------------
-    def save(self, path, extras=None, format_version=None) -> str:
+    def save(self, path, extras=None) -> str:
         """Snapshot every shard plus a parent manifest to a directory.
 
-        ``format_version=3`` writes every shard in the raw-payload layout
-        :meth:`load` can memory-map; the default stays format v2.
+        Every shard is written in the raw-payload layout :meth:`load` can
+        memory-map.
         """
         from repro import persistence
 
-        version = persistence.check_format_version(format_version)
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
         shard_dirs = []
         for i in range(self.num_shards):
             shard_dirs.append(f"shard-{i:04d}")
-            self._attach(i).save(
-                directory / shard_dirs[-1], format_version=version
-            )
+            self._attach(i).save(directory / shard_dirs[-1])
         manifest = {
             "format": persistence.FORMAT_NAME,
-            "format_version": version,
+            "format_version": persistence.FORMAT_VERSION,
             "kind": persistence.KIND_SHARDED,
             "spec": None if self.spec is None else self.spec.to_dict(),
             "shards": shard_dirs,
@@ -394,7 +344,8 @@ class ShardedANNIndex:
         exempt from eviction.  Lazy loading requires every shard to be a
         format-v3 snapshot (the manifest payload index is what lets cold
         shards report sizes and id spaces without touching payload
-        files); answers are bitwise-identical in every mode.
+        files), so v1/v2 snapshots load eagerly in heap mode only; answers
+        are bitwise-identical in every mode.
         """
         from repro import persistence
 
@@ -411,17 +362,10 @@ class ShardedANNIndex:
         for i, shard_dir in enumerate(manifest["shards"]):
             shard_path = directory / shard_dir
             shard_manifest = persistence.read_manifest(shard_path)
-            shard_version = int(shard_manifest["format_version"])
-            if lazy and shard_version < persistence.MMAP_FORMAT_VERSION:
-                raise persistence.IndexPersistenceError(
-                    f"shard snapshot {shard_path} is format v{shard_version}; "
-                    f"lazy out-of-core loading (load_mode='mmap' or a "
-                    f"memory_budget) needs format "
-                    f"v{persistence.MMAP_FORMAT_VERSION} — re-save with "
-                    f"save(..., format_version="
-                    f"{persistence.MMAP_FORMAT_VERSION})"
-                )
             if lazy:
+                persistence.require_mappable(
+                    shard_path, int(shard_manifest["format_version"])
+                )
                 handle = ShardHandle(
                     shard_id=i,
                     meta=_meta_from_manifest(shard_path, shard_manifest),

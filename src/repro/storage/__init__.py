@@ -2,8 +2,8 @@
 
 Two layers, both below the index logic and above the filesystem:
 
-* :mod:`repro.storage.layout` — the format-v3 payload tree: every large
-  array is its own raw ``.npy`` file, indexed by the manifest, so
+* :mod:`repro.storage.layout` — the snapshot payload tree (format v3):
+  every large array is its own raw ``.npy`` file, indexed by the manifest, so
   ``load_mode="mmap"`` maps the packed database and per-scheme arrays
   zero-copy instead of materializing them in heap.
 * :mod:`repro.storage.residency` — :class:`ResidencyManager`: lazy

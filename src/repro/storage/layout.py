@@ -1,12 +1,12 @@
 """The format-v3 payload tree: raw ``.npy`` files for zero-copy loads.
 
-Format v2 packs every array into two compressed ``.npz`` archives —
-compact, but an archive member can only be *read*, never mapped: loading
-always decompresses the whole payload into heap.  Format v3 trades a
-little disk for residency control: each array becomes its own
-uncompressed ``.npy`` file under the snapshot directory, so
-``np.load(..., mmap_mode="r")`` maps it zero-copy and the OS pages data
-in on demand.  (Modern numpy aligns the ``.npy`` header to 64 bytes, so
+The read-only formats v1/v2 pack every array into two compressed
+``.npz`` archives — compact, but an archive member can only be *read*,
+never mapped: loading always decompresses the whole payload into heap.
+Format v3, the one every save writes, trades a little disk for
+residency control: each array becomes its own uncompressed ``.npy`` file
+under the snapshot directory, so ``np.load(..., mmap_mode="r")`` maps it
+zero-copy and the OS pages data in on demand.  (Modern numpy aligns the ``.npy`` header to 64 bytes, so
 mapped arrays are allocator-grade aligned.)
 
 Layout inside a snapshot directory::

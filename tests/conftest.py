@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -15,6 +16,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "utils"))
 from repro.core.params import BaseParameters
 from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import flip_random_bits, random_points
+
+
+#: Committed snapshots in the read-only formats v1 and v2 (README.md there).
+LEGACY_SNAPSHOTS = Path(__file__).resolve().parent / "fixtures" / "snapshots"
+
+
+@pytest.fixture
+def legacy_snapshot(tmp_path):
+    """``legacy_snapshot(name)`` copies one committed v1/v2 snapshot into
+    ``tmp_path`` and returns the copy's path, so a test may save over or
+    tamper with it."""
+
+    def copy(name: str) -> Path:
+        return Path(shutil.copytree(LEGACY_SNAPSHOTS / name, tmp_path / name))
+
+    return copy
 
 
 @pytest.fixture(scope="session")

@@ -61,7 +61,6 @@ from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import random_points
 
 target, mutated = sys.argv[1], sys.argv[2] == "1"
-fmt = int(sys.argv[3])
 db = PackedPoints(random_points(np.random.default_rng({db_seed}), {n}, {d}), {d})
 index = ANNIndex.from_spec(
     db, IndexSpec(scheme="algorithm1", params={{"rounds": 2}}, seed={spec_seed})
@@ -72,14 +71,12 @@ if mutated:
     index.delete([0])
 print("READY", flush=True)
 sys.stdin.readline()  # parent says go; the kill timer starts now
-index.save(target, format_version=fmt if fmt else None)
+index.save(target)
 print("SAVED", flush=True)
 """.format(n=N, d=D, db_seed=DB_SEED, spec_seed=SPEC_SEED)
 
 
-def _save_in_subprocess(
-    target: Path, mutated: bool, kill_after: float, format_version: int = 0
-) -> bool:
+def _save_in_subprocess(target: Path, mutated: bool, kill_after: float) -> bool:
     """Run a save in a subprocess, SIGKILL it ``kill_after`` seconds in.
 
     Returns whether the save reported completion before the kill.  The
@@ -98,7 +95,6 @@ def _save_in_subprocess(
             _SAVE_SCRIPT,
             str(target),
             "1" if mutated else "0",
-            str(format_version),
         ],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
@@ -155,9 +151,11 @@ def test_fresh_save_killed_midway_errors_or_loads_complete(tmp_path, fraction):
 
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.6, 0.9, 1.2])
 def test_overwrite_killed_midway_is_old_new_or_error(tmp_path, fraction):
-    """Saving a *mutated* index over an existing snapshot, killed
-    anywhere: the directory loads as the old state, the new state, or a
-    typed error — never a silent mixture of the two."""
+    """Saving a *mutated* index over an existing snapshot — the in-place
+    checkpoint path replicas use — killed anywhere: the directory loads
+    as the old state, the new state, or a typed error — never a silent
+    mixture of the two, and the previous checkpoint is never destroyed
+    by the interrupted one."""
     duration = _time_one_save(tmp_path)
     target = tmp_path / "overwrite"
     _reference_index().save(target)  # the committed old state
@@ -173,17 +171,18 @@ def test_overwrite_killed_midway_is_old_new_or_error(tmp_path, fraction):
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.6, 0.9, 1.2])
-def test_v3_overwrite_killed_midway_is_old_new_or_error(tmp_path, fraction):
-    """The in-place checkpoint path replicas use (format v3, mmap'able):
-    killed anywhere, the directory loads as old, new, or a typed error —
-    the previous checkpoint is never destroyed by the interrupted one."""
+def test_v2_overwrite_killed_midway_is_old_new_or_error(
+    tmp_path, legacy_snapshot, fraction
+):
+    """Saving over a committed format-v2 snapshot writes v3 beside it:
+    killed anywhere, the directory loads as the old v2 state, the new
+    v3 state, or a typed error."""
     duration = _time_one_save(tmp_path)
-    target = tmp_path / "overwrite3"
-    _reference_index().save(target, format_version=3)
+    target = legacy_snapshot("v2-single")
     old = _answers(load_index(target))
     new = _answers(_reference_index(mutated=True))
     assert old != new
-    _save_in_subprocess(target, True, kill_after=fraction * duration, format_version=3)
+    _save_in_subprocess(target, True, kill_after=fraction * duration)
     try:
         loaded = load_index(target)
     except IndexPersistenceError:
@@ -199,9 +198,10 @@ def test_overwrite_leaves_old_snapshot_untouched_until_commit(tmp_path):
     _reference_index().save(target)
     old = _answers(load_index(target))
     # what a save killed after its data writes but before the manifest
-    # commit could leave behind: epoch-1 files next to the old manifest
-    (target / "database-00000001.npz").write_bytes(b"not an archive")
-    (target / "arrays-00000001.npz").write_bytes(b"not an archive")
+    # commit could leave behind: an epoch-1 root next to the old manifest
+    for group in ("database", "arrays"):
+        (target / "payloads-00000001" / group).mkdir(parents=True)
+        (target / "payloads-00000001" / group / "words.npy").write_bytes(b"junk")
     assert _answers(load_index(target)) == old
 
 
@@ -212,11 +212,7 @@ def test_second_save_prunes_the_previous_epoch(tmp_path):
     _reference_index().save(target)
     _reference_index(mutated=True).save(target)
     names = {p.name for p in target.iterdir()}
-    assert names == {
-        "manifest.json",
-        "database-00000001.npz",
-        "arrays-00000001.npz",
-    }
+    assert names == {"manifest.json", "payloads-00000001"}
     assert _answers(load_index(target)) == _answers(_reference_index(mutated=True))
 
 

@@ -1,5 +1,7 @@
 """The ANNIndex facade."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,27 +39,10 @@ class TestFromSpec:
         index = ANNIndex.from_spec(small_db, IndexSpec.preset("fast", seed=0))
         assert index.rounds == 1
 
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestLegacyBuild:
-    """The deprecated kwarg shim (equivalence with the spec path is
-    covered in tests/core/test_build_shim.py)."""
-
-    def test_auto_selects_algorithm1_for_small_k(self, small_db):
-        index = ANNIndex.build(small_db, rounds=2, algorithm="auto", seed=0)
-        assert index.scheme.scheme_name == "algorithm1"
-
-    def test_auto_selects_algorithm2_for_large_k(self, small_db):
-        index = ANNIndex.build(small_db, rounds=20, algorithm="auto", seed=0)
-        assert index.scheme.scheme_name == "algorithm2"
-
-    def test_unknown_algorithm_rejected(self, small_db):
-        with pytest.raises(ValueError):
-            ANNIndex.build(small_db, algorithm="bogus")
-
-    def test_boost_rejects_zero(self, small_db):
-        with pytest.raises(ValueError):
-            ANNIndex.build(small_db, rounds=2, boost=0)
+    def test_from_spec_does_not_warn(self, small_db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ANNIndex.from_spec(small_db, IndexSpec(scheme="linear-scan"))
 
 
 class TestQuery:

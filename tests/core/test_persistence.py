@@ -5,6 +5,8 @@ and boosted), an index loaded from a snapshot answers ``query`` and
 ``query_batch`` bitwise-identically to the index that was saved — same
 answers, same probe/round accounting — and malformed snapshots (unknown
 format version, tampered payloads, foreign directories) fail loudly.
+Snapshots in the read-only formats v1 and v2 come from the committed
+fixtures in ``tests/fixtures/snapshots``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import flip_random_bits, random_points
 from repro.persistence import (
     FORMAT_VERSION,
-    MAX_FORMAT_VERSION,
     IndexPersistenceError,
     load_any,
     load_index,
@@ -28,6 +29,7 @@ from repro.persistence import (
     save_index,
 )
 from repro.registry import available_schemes, build_scheme
+from repro.service.sharded import ShardedANNIndex
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +63,15 @@ def assert_results_equal(saved, loaded):
             assert np.array_equal(s.answer_packed, l.answer_packed)
 
 
-def _snapshot_arrays(snapshot_dir):
-    with np.load(snapshot_dir / "arrays.npz") as payload:
-        return {key: payload[key] for key in payload.files}
+def _array_keys(snapshot_dir):
+    return read_manifest(snapshot_dir)["array_keys"]
 
 
 def _tamper_array(snapshot_dir, key):
-    arrays = _snapshot_arrays(snapshot_dir)
-    arrays[key] = np.roll(arrays[key], 1)
-    np.savez_compressed(snapshot_dir / "arrays.npz", **arrays)
+    # Same shape and dtype, so the payload index still matches: only the
+    # scheme's own restore checks can catch it.
+    path = snapshot_dir / "arrays" / f"{key}.npy"
+    np.save(path, np.roll(np.load(path), 1))
 
 
 ROUND_TRIP_CASES = [
@@ -131,7 +133,7 @@ class TestManifest:
         spec = IndexSpec(scheme="algorithm1", params={"rounds": 3}, seed=5, boost=2)
         ANNIndex.from_spec(db, spec).save(tmp_path / "idx", extras={"note": "hi"})
         manifest = read_manifest(tmp_path / "idx")
-        assert manifest["format_version"] == FORMAT_VERSION
+        assert manifest["format_version"] == FORMAT_VERSION == 3
         assert manifest["seed"] == 5
         assert manifest["n"] == len(db) and manifest["d"] == db.d
         assert manifest["extras"] == {"note": "hi"}
@@ -144,7 +146,7 @@ class TestManifest:
         )
         manifest_path = tmp_path / "idx" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = MAX_FORMAT_VERSION + 1
+        manifest["format_version"] = FORMAT_VERSION + 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(IndexPersistenceError, match="unsupported index format version"):
             ANNIndex.load(tmp_path / "idx")
@@ -165,9 +167,7 @@ class TestManifest:
         db, _ = workload
         ANNIndex.from_spec(db, IndexSpec(scheme="lsh", seed=3)).save(tmp_path / "idx")
         key = sorted(
-            k
-            for k in _snapshot_arrays(tmp_path / "idx")
-            if k.startswith("positions/")
+            k for k in _array_keys(tmp_path / "idx") if k.startswith("positions/")
         )[0]
         _tamper_array(tmp_path / "idx", key)
         with pytest.raises(IndexPersistenceError, match="payload rejected"):
@@ -193,7 +193,7 @@ class TestManifest:
         index.save(tmp_path / "warm")
         key = sorted(
             k
-            for k in _snapshot_arrays(tmp_path / "warm")
+            for k in _array_keys(tmp_path / "warm")
             if k.startswith("levels/accurate_db/")
         )[0]
         _tamper_array(tmp_path / "warm", key)
@@ -205,10 +205,14 @@ class TestManifest:
         ANNIndex.from_spec(db, IndexSpec(scheme="data-dependent-lsh", seed=3)).save(
             tmp_path / "idx"
         )
-        arrays = _snapshot_arrays(tmp_path / "idx")
-        key = sorted(k for k in arrays if k.startswith("part0/"))[0]
-        arrays["part99" + key[len("part0"):]] = arrays.pop(key)
-        np.savez_compressed(tmp_path / "idx" / "arrays.npz", **arrays)
+        path = tmp_path / "idx"
+        manifest = read_manifest(path)
+        key = sorted(k for k in manifest["array_keys"] if k.startswith("part0/"))[0]
+        old, new = f"arrays/{key}.npy", f"arrays/part99{key[len('part0'):]}.npy"
+        (path / new).parent.mkdir(parents=True)
+        (path / old).rename(path / new)
+        manifest["payloads"][new] = manifest["payloads"].pop(old)
+        (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(IndexPersistenceError, match="payload rejected"):
             ANNIndex.load(tmp_path / "idx")
 
@@ -244,29 +248,29 @@ def _rewrite_database_npz(snapshot_dir, drop=(), mutate=None):
 
 
 class TestDatabaseTamper:
-    """database.npz corruption must fail loudly, never answer quietly."""
+    """v2 database.npz corruption must fail loudly, never answer quietly."""
 
-    def test_truncated_database_file(self, workload, tmp_path):
-        _, path, _ = _make_snapshot(workload, tmp_path)
+    def test_truncated_database_file(self, legacy_snapshot):
+        path = legacy_snapshot("v2-single")
         blob = (path / "database.npz").read_bytes()
         (path / "database.npz").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(IndexPersistenceError, match="unreadable database.npz"):
             ANNIndex.load(path)
 
-    def test_garbage_database_file(self, workload, tmp_path):
-        _, path, _ = _make_snapshot(workload, tmp_path)
+    def test_garbage_database_file(self, legacy_snapshot):
+        path = legacy_snapshot("v2-single")
         (path / "database.npz").write_bytes(b"not a zip archive at all")
         with pytest.raises(IndexPersistenceError, match="unreadable database.npz"):
             ANNIndex.load(path)
 
-    def test_missing_words_key(self, workload, tmp_path):
-        _, path, _ = _make_snapshot(workload, tmp_path)
+    def test_missing_words_key(self, legacy_snapshot):
+        path = legacy_snapshot("v2-single")
         _rewrite_database_npz(path, drop=("words",))
         with pytest.raises(IndexPersistenceError, match="missing words/d"):
             ANNIndex.load(path)
 
-    def test_dropped_rows_fail_the_geometry_check(self, workload, tmp_path):
-        _, path, _ = _make_snapshot(workload, tmp_path)
+    def test_dropped_rows_fail_the_geometry_check(self, legacy_snapshot):
+        path = legacy_snapshot("v2-single")
 
         def chop(arrays):
             arrays["words"] = arrays["words"][:-3]
@@ -276,38 +280,36 @@ class TestDatabaseTamper:
         with pytest.raises(IndexPersistenceError, match="does\nnot match|not match"):
             ANNIndex.load(path)
 
-    def test_missing_mutation_payload_rejected_for_v2(self, workload, tmp_path):
-        _, path, _ = _make_snapshot(workload, tmp_path)
+    def test_missing_mutation_payload_rejected_for_v2(self, legacy_snapshot):
+        path = legacy_snapshot("v2-single")
         _rewrite_database_npz(path, drop=("memtable_words",))
         with pytest.raises(IndexPersistenceError, match="mutation payload"):
             ANNIndex.load(path)
 
-    def test_tampered_tombstones_fail_live_n_check(self, workload, tmp_path):
-        index, path, _ = _make_snapshot(workload, tmp_path)
-        index.delete([0, 1])
-        index.save(path)
+    def test_tampered_tombstones_fail_live_n_check(self, legacy_snapshot):
+        path = legacy_snapshot("v2-single")
 
         def clear(arrays):
+            assert arrays["tombstones"].any()
             arrays["tombstones"] = np.zeros_like(arrays["tombstones"])
 
         _rewrite_database_npz(path, mutate=clear)
         with pytest.raises(IndexPersistenceError, match="inconsistent"):
             ANNIndex.load(path)
 
-    def test_tampered_memtable_shape_rejected(self, workload, tmp_path):
-        index, path, _ = _make_snapshot(workload, tmp_path)
-        index.insert(np.zeros((2, index.d), dtype=np.uint8))
-        index.save(path)
+    def test_tampered_memtable_shape_rejected(self, legacy_snapshot):
+        path = legacy_snapshot("v2-single")
 
         def chop(arrays):
+            assert len(arrays["memtable_words"])
             arrays["memtable_words"] = arrays["memtable_words"][:, :-1]
 
         _rewrite_database_npz(path, mutate=chop)
         with pytest.raises(IndexPersistenceError, match="mutation state rejected"):
             ANNIndex.load(path)
 
-    def test_truncated_arrays_file(self, workload, tmp_path):
-        _, path, _ = _make_snapshot(workload, tmp_path)
+    def test_truncated_arrays_file(self, legacy_snapshot):
+        path = legacy_snapshot("v2-single")
         blob = (path / "arrays.npz").read_bytes()
         (path / "arrays.npz").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(IndexPersistenceError, match="unreadable arrays.npz"):
@@ -365,25 +367,203 @@ class TestMutationRoundTrip:
         assert loaded.spec == index.spec  # root spec, not the derived one
         assert_results_equal(index.query_batch(queries), loaded.query_batch(queries))
 
-    def test_v1_snapshot_loads_under_v2_code(self, workload, tmp_path):
-        # Fixture: demote a fresh snapshot to the v1 on-disk shape (no
-        # mutation payload, no generation/live_n manifest fields).
-        db, queries = workload
-        index, path, _ = _make_snapshot(workload, tmp_path, name="v1")
-        _rewrite_database_npz(
-            path, drop=("tombstones", "memtable_words", "memtable_deleted")
+
+LEGACY = ["v1-single", "v2-single", "v1-sharded", "v2-sharded"]
+
+
+def _legacy_oracle(path):
+    """A from-scratch build of what a fixture's manifest describes, with
+    the recorded mutations replayed, plus queries near its rows."""
+    manifest = read_manifest(path)
+    recipe = manifest["extras"]
+    n, d = recipe["workload"]["n"], recipe["workload"]["d"]
+    db = PackedPoints(
+        random_points(np.random.default_rng(recipe["workload"]["seed"]), n, d), d
+    )
+    spec = IndexSpec.from_dict(manifest["spec"])
+    if manifest["kind"] == "sharded-ann-index":
+        index = ShardedANNIndex.build(db, spec, shards=len(manifest["shards"]))
+    else:
+        index = ANNIndex.from_spec(db, spec)
+    rows = db.words
+    mutations = recipe.get("mutations")
+    if mutations:
+        inserted = random_points(
+            np.random.default_rng(mutations["insert_seed"]), mutations["inserts"], d
         )
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["format_version"] = 1
-        for key in ("generation", "live_n", "compact_threshold"):
-            del manifest[key]
-        (path / "manifest.json").write_text(json.dumps(manifest))
+        index.insert(PackedPoints(inserted, d))
+        index.delete(mutations["delete"])
+        rows = np.vstack([rows, inserted])
+    gen = np.random.default_rng(2024)
+    queries = np.vstack(
+        [
+            flip_random_bits(gen, rows[int(i)], int(gen.integers(0, 12)), d)
+            for i in gen.integers(0, len(rows), 12)
+        ]
+        + [random_points(gen, 4, d)]
+    )
+    return index, queries
+
+
+class TestLegacySnapshots:
+    """Formats v1 and v2 are read-only: they load in heap mode, and the
+    next save over them writes the current format."""
+
+    @pytest.mark.parametrize("name", LEGACY)
+    def test_loads_bitwise_equal_to_a_rebuild(self, name, legacy_snapshot):
+        path = legacy_snapshot(name)
+        rebuilt, queries = _legacy_oracle(path)
+        loaded = load_any(path)
+        assert loaded.live_count == rebuilt.live_count
+        assert_results_equal(rebuilt.query_batch(queries), loaded.query_batch(queries))
+
+    @pytest.mark.parametrize("name", LEGACY)
+    def test_save_in_place_commits_v3_and_prunes_the_archives(
+        self, name, legacy_snapshot
+    ):
+        path = legacy_snapshot(name)
+        rebuilt, queries = _legacy_oracle(path)
+        load_any(path).save(path)
+        assert not list(path.rglob("*.npz"))
+        for manifest in path.rglob("manifest.json"):
+            assert json.loads(manifest.read_text())["format_version"] == FORMAT_VERSION
+        for load_mode in ("heap", "mmap"):
+            assert_results_equal(
+                rebuilt.query_batch(queries),
+                load_any(path, load_mode=load_mode).query_batch(queries),
+            )
+
+    def test_v1_snapshot_loads_as_a_clean_mutable_index(self, legacy_snapshot):
+        path = legacy_snapshot("v1-single")
+        _, queries = _legacy_oracle(path)
         loaded = ANNIndex.load(path)
         assert loaded.generation == 0
         assert loaded.mutation.dirty_count == 0
-        assert len(loaded) == len(db)
-        assert_results_equal(index.query_batch(queries), loaded.query_batch(queries))
+        assert len(loaded) == read_manifest(path)["n"]
         # And the loaded index is fully mutable going forward.
         loaded.insert(queries[:1])
         loaded.delete([0])
         assert loaded.compact() == 1
+
+
+SAVE_SPEC = IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=19)
+
+
+def _serve_and_snapshot(index, snapshot_dir):
+    """Checkpoint ``index`` through a live server's ``snapshot`` verb,
+    saving in place to the directory the server was started from."""
+    import asyncio
+    import queue
+    import threading
+
+    from repro.service import ServiceClient
+    from repro.service.server import serve
+
+    ready: "queue.Queue" = queue.Queue()
+    thread = threading.Thread(
+        target=lambda: asyncio.run(
+            serve(
+                index,
+                port=0,
+                snapshot_dir=str(snapshot_dir),
+                ready_cb=lambda host, port: ready.put((host, port)),
+            )
+        ),
+        daemon=True,
+    )
+    thread.start()
+    host, port = ready.get(timeout=10)
+    with ServiceClient(host=host, port=port, timeout=30.0) as client:
+        try:
+            client.snapshot()
+        finally:
+            client.shutdown()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _via_save_index(workload, tmp_path, legacy_snapshot):
+    save_index(ANNIndex.from_spec(workload[0], SAVE_SPEC), tmp_path / "out")
+    return tmp_path / "out"
+
+
+def _via_index_save(workload, tmp_path, legacy_snapshot):
+    ANNIndex.from_spec(workload[0], SAVE_SPEC).save(tmp_path / "out")
+    return tmp_path / "out"
+
+
+def _via_sharded_save(workload, tmp_path, legacy_snapshot):
+    ShardedANNIndex.build(workload[0], SAVE_SPEC, shards=2).save(tmp_path / "out")
+    return tmp_path / "out"
+
+
+def _via_cli_build(workload, tmp_path, legacy_snapshot):
+    from repro.cli import main
+
+    out = tmp_path / "out"
+    assert main(["build", "--n", "64", "--d", "128", "--out", str(out)]) == 0
+    return out
+
+
+def _via_cli_mutate(workload, tmp_path, legacy_snapshot):
+    from repro.cli import main
+
+    out = tmp_path / "out"
+    source = legacy_snapshot("v2-single")
+    argv = ["mutate", "--index", str(source), "--delete", "0", "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+def _via_server_snapshot(workload, tmp_path, legacy_snapshot):
+    path = legacy_snapshot("v2-single")
+    _serve_and_snapshot(ANNIndex.load(path), path)
+    return path
+
+
+SAVE_PATHS = [
+    pytest.param(_via_save_index, id="save_index"),
+    pytest.param(_via_index_save, id="ANNIndex.save"),
+    pytest.param(_via_sharded_save, id="ShardedANNIndex.save"),
+    pytest.param(_via_cli_build, id="repro-build"),
+    pytest.param(_via_cli_mutate, id="repro-mutate"),
+    pytest.param(_via_server_snapshot, id="server-snapshot"),
+]
+
+
+class TestFormatPolicy:
+    """v3 is the only format any save writes; nothing picks another."""
+
+    @pytest.mark.parametrize("save", SAVE_PATHS)
+    def test_every_save_path_writes_v3(
+        self, save, workload, tmp_path, legacy_snapshot, capsys
+    ):
+        path = save(workload, tmp_path, legacy_snapshot)
+        manifests = list(path.rglob("manifest.json"))
+        assert manifests
+        for manifest in manifests:
+            assert json.loads(manifest.read_text())["format_version"] == 3
+        assert not list(path.rglob("*.npz"))
+        heap = load_any(path)
+        queries = random_points(np.random.default_rng(3), 8, heap.d)
+        assert_results_equal(
+            heap.query_batch(queries),
+            load_any(path, load_mode="mmap").query_batch(queries),
+        )
+
+    def test_no_save_path_takes_a_format_choice(self, workload, tmp_path, capsys):
+        from repro.cli import main
+
+        index = ANNIndex.from_spec(workload[0], SAVE_SPEC)
+        sharded = ShardedANNIndex.build(workload[0], SAVE_SPEC, shards=2)
+        for save in (
+            lambda: save_index(index, tmp_path / "a", format_version=2),
+            lambda: index.save(tmp_path / "b", format_version=2),
+            lambda: sharded.save(tmp_path / "c", format_version=2),
+        ):
+            with pytest.raises(TypeError, match="format_version"):
+                save()
+        with pytest.raises(SystemExit):
+            main(["build", "--format-version", "2", "--out", str(tmp_path / "d")])
+        assert "--format-version" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -188,11 +188,23 @@ def test_set_kernel_unknown_name_lists_alternatives():
 
 
 def test_set_kernel_reports_unavailability_reason():
-    missing = [k for k in KNOWN_KERNELS if k not in available_kernels()]
-    if not missing:
-        pytest.skip("every known kernel is available here")
-    with pytest.raises(ValueError, match="unavailable"):
-        set_kernel(missing[0])
+    # REPRO_NO_CBITS=1 turns 'cbits' into a known backend that failed to
+    # register, on every host.
+    code = (
+        "from repro.hamming import set_kernel\n"
+        "try:\n"
+        "    set_kernel('cbits')\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, REPRO_NO_CBITS="1")
+    env.pop("REPRO_KERNEL", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert "'cbits' unavailable" in out.stdout
+    assert "REPRO_NO_CBITS" in out.stdout
 
 
 def test_use_kernel_restores_previous_backend(kernel):

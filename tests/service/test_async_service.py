@@ -49,7 +49,7 @@ def queries(db):
 def served_index(request, db):
     if request.param == "single":
         return ANNIndex.from_spec(db, SPEC)
-    return ShardedANNIndex.build(db, SPEC, shards=2, workers=1)
+    return ShardedANNIndex.build(db, SPEC, shards=2)
 
 
 @pytest.fixture(scope="module")

@@ -178,6 +178,45 @@ def test_router_refuses_queries_when_a_shard_has_no_replica(snapshot):
             ch.assert_query_equivalent(client, oracle, queries[0])
 
 
+@pytest.fixture(scope="module")
+def router(snapshot):
+    """One 2-shard × 1-replica cluster shared by the malformed-bits cases."""
+    with ch.ClusterHarness(snapshot[0], replicas=1) as cluster:
+        yield cluster
+
+
+@pytest.mark.parametrize(
+    "op, payload",
+    [
+        pytest.param("query", lambda d: {"bits": [0.9] * d}, id="fractional-query"),
+        pytest.param("query", lambda d: {"bits": ["1"] * d}, id="string-query"),
+        pytest.param(
+            "query_batch",
+            lambda d: {"queries": [[0] * (d - 1) + [2]]},
+            id="bit-above-1-batch-row",
+        ),
+        pytest.param(
+            "insert", lambda d: {"points": [[-1] + [0] * (d - 1)]}, id="negative-insert"
+        ),
+    ],
+)
+def test_router_rejects_malformed_bits(router, snapshot, op, payload):
+    """The router decodes bit rows with the shard servers' rule — JSON
+    integers or booleans equal to 0 or 1 — before it fans out: a
+    malformed row is a per-request error, never a truncated query or a
+    logged write."""
+    from repro.service.client import ServiceError
+
+    snap, queries = snapshot
+    oracle = ShardedANNIndex.load(snap)
+    with router.connect() as client:
+        before = client.info()["cluster"]["shards"]
+        with pytest.raises(ServiceError, match="0 or 1"):
+            client._request(op, **payload(oracle.d))
+        assert client.info()["cluster"]["shards"] == before
+        ch.assert_query_equivalent(client, oracle, queries[0])
+
+
 # -- chaos property ----------------------------------------------------------
 @pytest.mark.slow
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

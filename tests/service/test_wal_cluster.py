@@ -27,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cluster_harness as ch
+from repro.persistence import read_manifest
+from repro.service import ServiceError
 from repro.service.sharded import ShardedANNIndex
 from repro.service.wal import read_segment, segment_path
 
@@ -96,6 +98,26 @@ def test_router_crash_recovery_is_bitwise_identical(snapshot, tmp_path):
             for bits in queries[:4]:
                 ch.assert_query_equivalent(client, oracle, bits)
             assert client.stats()["wal_appends"] >= 2
+
+
+def test_rejected_insert_never_reaches_the_wal(snapshot, tmp_path):
+    """A fractional bit row is refused at the router before it is
+    logged: no WAL entry, no replica write, and the next valid insert
+    takes the first sequence number."""
+    snap, queries = snapshot
+    oracle = ShardedANNIndex.load(snap)
+    log_dir = tmp_path / "wal"
+    with ch.ClusterHarness(snap, replicas=1, log_dir=log_dir) as cluster:
+        with cluster.connect() as client:
+            with pytest.raises(ServiceError, match="integers 0 or 1"):
+                client._request("insert", points=[[0.5] * oracle.d])
+            assert client.stats()["wal_appends"] == 0
+            for si in range(cluster.num_shards):
+                assert read_segment(segment_path(log_dir, si))["entries"] == []
+            apply_writes(client, oracle, np.random.default_rng(5), oracle.d)
+            for bits in queries[:2]:
+                ch.assert_query_equivalent(client, oracle, bits)
+    assert replay_oracle(snap, log_dir).live_count == oracle.live_count
 
 
 def test_recovery_replays_writes_a_stale_replica_missed(snapshot, tmp_path):
@@ -202,6 +224,7 @@ def test_checkpoint_never_touches_the_shared_snapshot(snapshot, tmp_path):
         assert len(snap_dirs) == cluster.num_shards * 2
         for directory in snap_dirs:
             assert (directory / "manifest.json").is_file()
+            assert read_manifest(directory)["format_version"] == 3
     assert sorted(p for p in snap.rglob("*") if p.is_file()) == files
     assert all(p.read_bytes() == before[p] for p in files)
 
@@ -214,7 +237,7 @@ def test_mmap_cluster_checkpoints_and_restarts_from_v3(snapshot, tmp_path):
     import json
 
     snap_v3 = tmp_path / "snap-v3"
-    ShardedANNIndex.load(snapshot[0]).save(snap_v3, format_version=3)
+    ShardedANNIndex.load(snapshot[0]).save(snap_v3)
     queries = snapshot[1]
     oracle = ShardedANNIndex.load(snap_v3)
     rng = np.random.default_rng(43)

@@ -141,6 +141,34 @@ def test_garbage_bytes_get_errors_not_wedges(endpoint, junk):
         b'{"op": "delete", "ids": [1, 1]}',  # duplicate ids in one delete
         b'{"op": "delete", "ids": [999999]}',  # out-of-range id
         b'{"op": "insert", "points": [[1, 0]]}',  # wrong dimension
+        # Bit values other than JSON integers or booleans equal to 0 or 1:
+        pytest.param(
+            json.dumps({"op": "query", "bits": [0.9] * D}).encode(),
+            id="fractional-bits",
+        ),
+        pytest.param(
+            json.dumps({"op": "query", "bits": ["1"] * D}).encode(), id="string-bits"
+        ),
+        pytest.param(
+            json.dumps({"op": "query", "bits": [0] * (D - 1) + [2]}).encode(),
+            id="bit-above-1",
+        ),
+        pytest.param(
+            json.dumps({"op": "query", "bits": [-1] + [0] * (D - 1)}).encode(),
+            id="negative-bit",
+        ),
+        pytest.param(
+            json.dumps({"op": "query_batch", "queries": [[0.9] * D]}).encode(),
+            id="fractional-batch-row",
+        ),
+        pytest.param(
+            json.dumps({"op": "insert", "points": [[0.5] * D]}).encode(),
+            id="fractional-insert-row",
+        ),
+        pytest.param(
+            json.dumps({"op": "insert", "points": [[256] + [0] * (D - 1)]}).encode(),
+            id="insert-bit-256",
+        ),
     ],
 )
 def test_bad_requests_get_per_request_errors(endpoint, frame):
@@ -149,6 +177,21 @@ def test_bad_requests_get_per_request_errors(endpoint, frame):
     assert dicts, f"no JSON response to {frame!r}"
     assert all(r.get("ok") is False and r.get("error") for r in dicts)
     assert_still_serving(endpoint)
+
+
+def test_boolean_bits_answer_like_integers(endpoint):
+    """JSON booleans are bit values too: a ``true``/``false`` row answers
+    exactly like its 0/1 twin, alone and inside a batch."""
+    host, port = endpoint
+    ints = [(i // 3) % 2 for i in range(D)]
+    bools = [bool(b) for b in ints]
+    with ServiceClient(host=host, port=port, timeout=10.0) as client:
+        as_ints = client._request("query", bits=ints)
+        as_bools = client._request("query", bits=bools)
+        batch = client._request("query_batch", queries=[bools, ints])
+    assert as_ints.pop("id") != as_bools.pop("id")
+    assert as_bools == as_ints
+    assert batch["results"][0] == batch["results"][1]
 
 
 def test_unknown_verb_echoes_request_id(endpoint):

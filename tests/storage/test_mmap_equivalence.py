@@ -5,9 +5,10 @@ registered scheme (plain and boosted), for sharded indexes (with and
 without a memory budget forcing evictions mid-serving), after
 mutate→compact, after a save/load round-trip of an mmap'd index, and
 through the async serving layer, the answers AND the probe/round
-accounting must equal the heap load bit for bit.  The satellite format
-rules ride along: v2 + mmap is a clear error naming format v3, and
-``save`` keeps writing v2 unless v3 is requested.
+accounting must equal the heap load bit for bit.  The format rules ride
+along: ``save`` writes the v3 payload tree, and a v1/v2 snapshot (the
+committed fixtures) under mmap or lazy loading is a clear error naming
+format v3.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from repro.api import IndexSpec
 from repro.core.index import ANNIndex
 from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import flip_random_bits, random_points
-from repro.persistence import (
-    FORMAT_VERSION,
-    MMAP_FORMAT_VERSION,
-    IndexPersistenceError,
-    load_any,
-)
+from repro.persistence import FORMAT_VERSION, IndexPersistenceError, load_any
 from repro.registry import available_schemes
 from repro.service import AsyncANNService, ShardedANNIndex
 
@@ -90,7 +86,7 @@ class TestEverySchemeFamily:
         index = ANNIndex.from_spec(
             db, IndexSpec(scheme=scheme, seed=31, boost=boost)
         ).prepare()
-        index.save(tmp_path / "idx", format_version=MMAP_FORMAT_VERSION)
+        index.save(tmp_path / "idx")
         heap = ANNIndex.load(tmp_path / "idx")
         mmap = ANNIndex.load(tmp_path / "idx", load_mode="mmap")
         assert heap.load_mode == "heap" and mmap.load_mode == "mmap"
@@ -113,7 +109,7 @@ def sharded_snapshot(workload, tmp_path_factory):
         shards=SHARDS,
     )
     path = tmp_path_factory.mktemp("oocs") / "sharded-v3"
-    index.save(path, format_version=MMAP_FORMAT_VERSION)
+    index.save(path)
     return index, path
 
 
@@ -176,7 +172,7 @@ class TestMutation:
             IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=13),
             shards=SHARDS,
         )
-        index.save(tmp_path / "mut", format_version=MMAP_FORMAT_VERSION)
+        index.save(tmp_path / "mut")
         heap = ShardedANNIndex.load(tmp_path / "mut")
         mmap = ShardedANNIndex.load(tmp_path / "mut", load_mode="mmap")
         # Apply the identical mutation schedule to both loads.
@@ -194,7 +190,7 @@ class TestMutation:
         fresh = random_points(gen, 6, D)
         ANNIndex.from_spec(
             db, IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=19)
-        ).save(tmp_path / "single", format_version=MMAP_FORMAT_VERSION)
+        ).save(tmp_path / "single")
         heap = ANNIndex.load(tmp_path / "single")
         mmap = ANNIndex.load(tmp_path / "single", load_mode="mmap")
         for idx in (heap, mmap):
@@ -206,32 +202,49 @@ class TestMutation:
 
 
 class TestRoundTripOfMmapIndex:
-    @pytest.mark.parametrize("resave_version", [None, MMAP_FORMAT_VERSION])
-    def test_mmap_loaded_index_resaves_and_reloads(
-        self, resave_version, workload, tmp_path
-    ):
+    def test_mmap_loaded_index_resaves_and_reloads(self, workload, tmp_path):
         db, queries = workload
         ANNIndex.from_spec(
             db, IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=29)
-        ).prepare().save(tmp_path / "orig", format_version=MMAP_FORMAT_VERSION)
+        ).prepare().save(tmp_path / "orig")
         mmap = ANNIndex.load(tmp_path / "orig", load_mode="mmap")
         expected = mmap.query_batch(queries)
-        mmap.save(tmp_path / "resaved", format_version=resave_version)
+        mmap.save(tmp_path / "resaved")
         reloaded = ANNIndex.load(tmp_path / "resaved")
         assert_results_equal(expected, reloaded.query_batch(queries))
         manifest = json.loads((tmp_path / "resaved" / "manifest.json").read_text())
-        assert manifest["format_version"] == (resave_version or FORMAT_VERSION)
+        assert manifest["format_version"] == FORMAT_VERSION
 
     def test_mmap_index_resaves_over_its_own_snapshot(self, workload, tmp_path):
         db, queries = workload
         ANNIndex.from_spec(
             db, IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=37)
-        ).save(tmp_path / "self", format_version=MMAP_FORMAT_VERSION)
+        ).save(tmp_path / "self")
         mmap = ANNIndex.load(tmp_path / "self", load_mode="mmap")
         expected = mmap.query_batch(queries)
-        mmap.save(tmp_path / "self", format_version=MMAP_FORMAT_VERSION)
+        mmap.save(tmp_path / "self")
         reloaded = ANNIndex.load(tmp_path / "self", load_mode="mmap")
         assert_results_equal(expected, reloaded.query_batch(queries))
+
+
+    def test_budgeted_sharded_index_resaves_and_reloads(
+        self, workload, sharded_snapshot, tmp_path
+    ):
+        """Saving attaches every shard in turn, so under a one-shard
+        budget the save itself evicts; the snapshot still answers like
+        the source."""
+        _, queries = workload
+        _, path = sharded_snapshot
+        expected = ShardedANNIndex.load(path).query_batch(queries)
+        tight = ShardedANNIndex.load(
+            path, load_mode="mmap", memory_budget=_one_shard_nbytes(path) + 1
+        )
+        tight.save(tmp_path / "resaved")
+        assert tight.residency_stats().evictions > 0
+        for load_mode in ("heap", "mmap"):
+            resaved = ShardedANNIndex.load(tmp_path / "resaved", load_mode=load_mode)
+            assert_results_equal(expected, resaved.query_batch(queries))
+        assert_results_equal(expected, tight.query_batch(queries))
 
 
 class TestServingLayer:
@@ -257,54 +270,38 @@ class TestServingLayer:
 
 
 class TestFormatRules:
-    def test_default_save_is_still_v2(self, workload, tmp_path):
+    def test_v3_save_writes_payload_tree_not_npz(self, workload, tmp_path):
         db, _ = workload
         ANNIndex.from_spec(db, IndexSpec(scheme="algorithm1", seed=3)).save(
             tmp_path / "idx"
         )
         manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-        assert manifest["format_version"] == FORMAT_VERSION == 2
-        assert (tmp_path / "idx" / "database.npz").is_file()
-        assert (tmp_path / "idx" / "arrays.npz").is_file()
-        assert not (tmp_path / "idx" / "database").exists()
-
-    def test_v3_save_writes_payload_tree_not_npz(self, workload, tmp_path):
-        db, _ = workload
-        ANNIndex.from_spec(db, IndexSpec(scheme="algorithm1", seed=3)).save(
-            tmp_path / "idx", format_version=MMAP_FORMAT_VERSION
-        )
-        manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-        assert manifest["format_version"] == MMAP_FORMAT_VERSION
+        assert manifest["format_version"] == FORMAT_VERSION == 3
         assert (tmp_path / "idx" / "database" / "words.npy").is_file()
         assert not (tmp_path / "idx" / "database.npz").exists()
         # The payload index covers every file with exact byte sizes.
         words = np.load(tmp_path / "idx" / "database" / "words.npy")
         assert manifest["payloads"]["database/words.npy"]["nbytes"] == words.nbytes
 
-    def test_v2_snapshot_with_mmap_raises_clear_error(self, workload, tmp_path):
-        db, _ = workload
-        ANNIndex.from_spec(db, IndexSpec(scheme="algorithm1", seed=3)).save(
-            tmp_path / "v2"
-        )
-        with pytest.raises(IndexPersistenceError, match="format v3"):
-            ANNIndex.load(tmp_path / "v2", load_mode="mmap")
+    def test_v2_snapshot_with_mmap_raises_clear_error(self, legacy_snapshot):
+        for name in ("v1-single", "v2-single"):
+            with pytest.raises(IndexPersistenceError, match="format v3"):
+                ANNIndex.load(legacy_snapshot(name), load_mode="mmap")
 
-    def test_v2_sharded_snapshot_rejects_lazy_loading(self, workload, tmp_path):
-        db, _ = workload
-        ShardedANNIndex.build(
-            db, IndexSpec(scheme="algorithm1", seed=3), shards=SHARDS
-        ).save(tmp_path / "v2s")
-        with pytest.raises(IndexPersistenceError, match="format\\s+v3"):
-            ShardedANNIndex.load(tmp_path / "v2s", load_mode="mmap")
-        with pytest.raises(IndexPersistenceError, match="format\\s+v3"):
-            ShardedANNIndex.load(tmp_path / "v2s", memory_budget=10**6)
+    def test_v2_sharded_snapshot_rejects_lazy_loading(self, legacy_snapshot):
+        for name in ("v1-sharded", "v2-sharded"):
+            path = legacy_snapshot(name)
+            with pytest.raises(IndexPersistenceError, match="format\\s+v3"):
+                ShardedANNIndex.load(path, load_mode="mmap")
+            with pytest.raises(IndexPersistenceError, match="format\\s+v3"):
+                ShardedANNIndex.load(path, memory_budget=10**6)
 
     def test_memory_budget_on_single_index_snapshot_is_an_error(
         self, workload, tmp_path
     ):
         db, _ = workload
         ANNIndex.from_spec(db, IndexSpec(scheme="algorithm1", seed=3)).save(
-            tmp_path / "one", format_version=MMAP_FORMAT_VERSION
+            tmp_path / "one"
         )
         with pytest.raises(IndexPersistenceError, match="sharded"):
             load_any(tmp_path / "one", memory_budget=10**6)
@@ -320,7 +317,7 @@ class TestFormatRules:
     def test_tampered_v3_payload_fails_loudly(self, workload, tmp_path):
         db, _ = workload
         ANNIndex.from_spec(db, IndexSpec(scheme="algorithm1", seed=3)).save(
-            tmp_path / "t", format_version=MMAP_FORMAT_VERSION
+            tmp_path / "t"
         )
         words_path = tmp_path / "t" / "database" / "words.npy"
         words = np.load(words_path)

@@ -110,6 +110,28 @@ class TestCLI:
         assert code == 0
         assert "sharded(algorithm1×4)" in out
 
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_build_cold_answers_like_warm(self, tmp_path, shards, capsys):
+        import numpy as np
+
+        from repro.hamming.sampling import flip_random_bits
+        from repro.persistence import load_any
+
+        loaded = {}
+        for mode, flags in (("warm", []), ("cold", ["--cold"])):
+            out = str(tmp_path / mode)
+            assert main(["build", "--scheme", "algorithm1", "--shards", shards,
+                         "--n", "64", "--d", "128", "--out", out, *flags]) == 0
+            loaded[mode] = load_any(out)
+        warm, cold = loaded["warm"], loaded["cold"]
+        rows = np.vstack([s.database.words for s in getattr(warm, "shards", [warm])])
+        gen = np.random.default_rng(0)
+        queries = np.vstack([flip_random_bits(gen, rows[i], int(i) % 9, 128)
+                             for i in gen.integers(0, len(rows), 12)])
+        for w, c in zip(warm.query_batch(queries), cold.query_batch(queries)):
+            assert (w.answer_index, w.probes, w.rounds, w.probes_per_round) == (
+                c.answer_index, c.probes, c.rounds, c.probes_per_round)
+
     def test_bench_shards_builds_sharded_index(self, capsys):
         code = main(["bench", "--scheme", "algorithm1", "--shards", "2",
                      "--n", "64", "--d", "128", "--queries", "4"])
@@ -136,6 +158,14 @@ class TestCLI:
         # extras (the workload recipe) survive the mutate rewrite.
         assert read_manifest(out_dir)["extras"]["workload"]["n"] == 64
         assert loaded.query([0, 1] * 64).answer_index is not None
+
+    def test_mutate_rewrites_a_v2_snapshot_as_v3(self, legacy_snapshot, capsys):
+        from repro.persistence import FORMAT_VERSION, read_manifest
+
+        path = legacy_snapshot("v2-single")
+        assert main(["mutate", "--index", str(path), "--delete", "0"]) == 0
+        assert read_manifest(path)["format_version"] == FORMAT_VERSION == 3
+        assert not list(path.glob("*.npz"))
 
     def test_mutate_sharded_snapshot_out_of_place(self, tmp_path, capsys):
         src_dir, dst_dir = str(tmp_path / "src"), str(tmp_path / "dst")
