@@ -1,26 +1,35 @@
 """E20 — the popcount/XOR hot path, per kernel backend.
 
 Not a paper claim: this experiment measures the kernel seam added in
-v1.9 (``repro.hamming.kernels``).  Every adaptive round bottoms out in
-screening a micro-batch of packed queries against packed table rows —
-``cross_distances`` for the lockstep sweep, ``hamming_distance_many``
-for a single query — so those two calls against an out-of-cache database
-are the per-kernel unit measured here, alongside an end-to-end
-``ANNIndex.query_batch`` equality check under each backend.
+v1.9 (``repro.hamming.kernels``).  The per-kernel unit is a micro-batch
+of packed queries screened against an out-of-cache database —
+``cross_distances`` at batch 256/512, ``hamming_distance_many`` for a
+single query — alongside an end-to-end ``ANNIndex.query_batch``
+equality check under each backend.
+
+The lockstep sweep builds no distance matrix for the level tables
+``T_i``: their cells come from ``nearest_within``, a
+blocked nearest-row search that runs in NumPy under every backend.  It
+is timed at batch 256 on the level-table shape (8192 database sketches
+of a 104-row accurate sketch, two words each) and checked against the
+thresholded first ``argmin`` of ``cross_distances`` under every kernel.
 
 Criteria (asserted):
 
 * every backend's distance matrices are **bitwise-equal** to the
   reference backend's in the same run, and ``query_batch`` answers and
   probe/round accounting are field-by-field identical;
+* ``nearest_within``'s indices and distances are **bitwise-equal** to
+  the thresholded first ``argmin`` of each backend's
+  ``cross_distances``;
 * with a compiled backend registered, batch throughput at batch ≥ 256
   is at least 1.5× the reference backend's queries/sec (self-skips when
   only ``reference`` is available, e.g. no C compiler on the runner).
 
 The table is persisted via ``artifacts.py`` as
-``results/BENCH_e20_hot_path.json`` with per-kernel ``*_qps_*`` metrics,
-which the CI perf gate (``--gate-qps-drop``) compares run over run on
-like-for-like provenance.
+``results/BENCH_e20_hot_path.json`` with per-kernel ``*_qps_*`` metrics
+and ``nearest_qps_b256``, which the CI perf gate (``--gate-qps-drop``)
+compares run over run on like-for-like provenance.
 
 Catalog of all experiments: ``docs/BENCHMARKS.md``.
 """
@@ -32,7 +41,11 @@ import pytest
 
 from repro.api import IndexSpec
 from repro.core.index import ANNIndex
-from repro.hamming.distance import cross_distances, hamming_distance_many
+from repro.hamming.distance import (
+    cross_distances,
+    hamming_distance_many,
+    nearest_within,
+)
 from repro.hamming.kernels import available_kernels, use_kernel
 from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import flip_random_bits, random_points
@@ -43,6 +56,13 @@ N, D = 8192, 1024
 BATCH_SIZES = [1, 256, 512]
 REPS = 5  # best-of timing per (kernel, batch) cell
 SPEEDUP_FLOOR = 1.5
+
+# The level-table witness search: a 104-row accurate sketch (c1=8,
+# log2 n = 13) packs into two words; half the addresses lie within
+# NEAREST_LIMIT of some database sketch, half are uniform (no witness).
+SKETCH_ROWS = 104
+NEAREST_BATCH = 256
+NEAREST_LIMIT = 26
 
 # Small end-to-end workload for the engine-level equality check.
 INDEX_SPEC = IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=20)
@@ -103,6 +123,45 @@ def e20_rows(e20_workload, report_table):
     return rows
 
 
+def _thresholded_first_argmin(a, b, limit):
+    dists = cross_distances(a, b)
+    best = dists.argmin(axis=1)
+    best_dists = dists[np.arange(len(a)), best]
+    hit = best_dists <= limit
+    return np.where(hit, best, -1), np.where(hit, best_dists, -1)
+
+
+@pytest.fixture(scope="module")
+def e20_nearest(report_table):
+    gen = np.random.default_rng(2021)
+    sketches = random_points(gen, N, SKETCH_ROWS)
+    near = [
+        flip_random_bits(gen, sketches[i], NEAREST_LIMIT // 2, SKETCH_ROWS)
+        for i in gen.integers(0, N, size=NEAREST_BATCH // 2)
+    ]
+    addresses = np.vstack(near + [random_points(gen, NEAREST_BATCH // 2, SKETCH_ROWS)])
+    qps, (index, dist) = _best_qps(
+        lambda: nearest_within(addresses, sketches, NEAREST_LIMIT), NEAREST_BATCH
+    )
+    rows = [{"path": "nearest_within (NumPy under every kernel)", "q/s b256": round(qps, 1)}]
+    for kernel in available_kernels():
+        with use_kernel(kernel):
+            matrix_qps, (want_index, want_dist) = _best_qps(
+                lambda: _thresholded_first_argmin(addresses, sketches, NEAREST_LIMIT),
+                NEAREST_BATCH,
+            )
+        assert np.array_equal(index, want_index) and np.array_equal(dist, want_dist), (
+            f"nearest_within diverged from kernel {kernel!r}'s thresholded argmin"
+        )
+        rows.append(
+            {"path": f"cross_distances + argmin ({kernel})", "q/s b256": round(matrix_qps, 1)}
+        )
+    report_table(
+        f"E20: level-table witness search (n={N}, {SKETCH_ROWS}-row sketches)", rows
+    )
+    return {"qps": qps, "hits": int((index >= 0).sum())}
+
+
 def _qps(rows, kernel, batch_size):
     row = next(r for r in rows if r["kernel"] == kernel)
     return row[f"q/s b{batch_size}"]
@@ -133,6 +192,12 @@ def test_e20_engine_answers_identical_under_every_kernel():
             assert results == baseline, f"kernel {kernel!r} changed answers"
 
 
+def test_e20_nearest_within_equals_thresholded_argmin(e20_nearest):
+    # The fixture asserts equality under every kernel; both outcomes of
+    # the threshold must have been exercised for that to mean anything.
+    assert 0 < e20_nearest["hits"] < NEAREST_BATCH
+
+
 def test_e20_compiled_speedup_at_batch_256(e20_rows):
     compiled = [k for k in available_kernels() if k != "reference"]
     if not compiled:
@@ -146,10 +211,10 @@ def test_e20_compiled_speedup_at_batch_256(e20_rows):
     )
 
 
-def test_e20_artifact(e20_rows):
+def test_e20_artifact(e20_rows, e20_nearest):
     from artifacts import write_artifact
 
-    metrics = {}
+    metrics = {"nearest_qps_b256": round(e20_nearest["qps"], 1)}
     for row in e20_rows:
         kernel = row["kernel"]
         metrics[f"{kernel}_latency_b1_ms"] = row["latency b1 (ms)"]
@@ -168,6 +233,8 @@ def test_e20_artifact(e20_rows):
             "n": N,
             "d": D,
             "batch_sizes": BATCH_SIZES,
+            "sketch_rows": SKETCH_ROWS,
+            "nearest_limit": NEAREST_LIMIT,
             "kernels": available_kernels(),
         },
     )

@@ -2,12 +2,17 @@
 
 No new Python dependency: a ~60-line C source embedded below is compiled
 once per (source, compiler path+version, flags) digest with the *system*
-C compiler into a shared library cached under the user's cache directory
-(``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``; mode 0700 and
+C compiler into a shared library cached under ``$REPRO_CBITS_CACHE``, else
+``$XDG_CACHE_HOME/repro/cbits``, else ``~/.cache/repro/cbits`` (mode 0700 and
 ownership-checked before any cached artifact is trusted), then loaded
-with ``ctypes``.  ``__builtin_popcountll`` maps to the hardware popcount, and
-fusing XOR+popcount+accumulate into one loop removes the intermediate
-XOR/count arrays the NumPy reference has to materialize per chunk.
+with ``ctypes``.  ``__builtin_popcountll`` compiles to the hardware
+``popcnt`` instruction only when the target enables it: without
+``-mpopcnt`` x86-64 GCC emits a call to libgcc's ``__popcountdi2`` per
+word.  The flag is therefore added when the host CPU reports ``popcnt``
+(the ``flags`` line of ``/proc/cpuinfo``); other hosts build with the
+base flags.  Fusing XOR+popcount+accumulate into one loop removes the
+intermediate XOR/count arrays the NumPy reference has to materialize
+per chunk.
 
 OpenMP is used when the compiler supports it (``-fopenmp`` is tried
 first, then dropped): every parallel loop writes disjoint ``out[i]``
@@ -107,6 +112,16 @@ void repro_paired(const uint64_t *a, const uint64_t *b, int64_t m, int64_t w,
 _BASE_FLAGS = ["-O3", "-std=c11", "-shared", "-fPIC"]
 
 
+def _base_flags() -> list:
+    """``_BASE_FLAGS``, plus ``-mpopcnt`` when the CPU has the instruction."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu = next((line.split() for line in info if line.startswith("flags")), [])
+    except OSError:
+        cpu = []
+    return _BASE_FLAGS + (["-mpopcnt"] if "popcnt" in cpu else [])
+
+
 def _cache_dir() -> Path:
     override = os.environ.get("REPRO_CBITS_CACHE")
     if override:
@@ -173,6 +188,7 @@ def _compile() -> Path:
     cache = _cache_dir()
     cache.mkdir(parents=True, exist_ok=True, mode=0o700)
     _assert_private(cache, "directory")
+    base_flags = _base_flags()
     errors = []
     for cc in _compilers():
         fingerprint = _cc_fingerprint(cc)
@@ -181,7 +197,7 @@ def _compile() -> Path:
             continue
         for extra in (["-fopenmp"], []):
             digest = hashlib.sha256(
-                "\n".join([_SOURCE, repr(_BASE_FLAGS), repr(extra), fingerprint]).encode()
+                "\n".join([_SOURCE, repr(base_flags), repr(extra), fingerprint]).encode()
             ).hexdigest()[:16]
             target = cache / f"cbits-{digest}.so"
             if target.exists():
@@ -190,7 +206,7 @@ def _compile() -> Path:
             source = cache / f"cbits-{digest}.c"
             source.write_text(_SOURCE)
             scratch = cache / f"cbits-{digest}.{os.getpid()}.tmp.so"
-            cmd = [cc, *_BASE_FLAGS, *extra, "-o", str(scratch), str(source)]
+            cmd = [cc, *base_flags, *extra, "-o", str(scratch), str(source)]
             try:
                 proc = subprocess.run(
                     cmd, capture_output=True, text=True, timeout=120

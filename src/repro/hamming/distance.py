@@ -8,7 +8,9 @@ hands real work to the active :class:`~repro.hamming.kernels.KernelBackend`
 (``reference`` = NumPy ``np.bitwise_count``; see
 :mod:`repro.hamming.kernels` for ``set_kernel``/``REPRO_KERNEL``).
 Validation living here — not in backends — is what makes the error
-contract identical under every backend by construction.
+contract identical under every backend by construction.  Two functions
+never dispatch and run in NumPy under every backend: ``popcount_sum``
+and ``nearest_within``.
 
 Every backend chunks its work so peak memory stays bounded even for
 one-vs-a-million queries; ``_CHUNK_WORD_BUDGET`` below remains the knob.
@@ -31,6 +33,7 @@ __all__ = [
     "cross_distances",
     "hamming_distance",
     "hamming_distance_many",
+    "nearest_within",
     "paired_distances",
     "pairwise_distances",
     "popcount_rows",
@@ -120,6 +123,52 @@ def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if w == 0:
         return np.zeros((ma, mb), dtype=np.int64)
     return kernels.active_backend().cross_distances(av, bv)
+
+
+def nearest_within(a: np.ndarray, b: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row of ``b`` for each row of ``a``, if within ``limit``.
+
+    Returns int64 ``(index, distance)`` arrays of shape ``(ma,)``: the
+    lowest-index row of ``b`` at minimum distance, or ``(-1, -1)`` when
+    that distance exceeds ``limit`` — exactly the first ``argmin`` of
+    :func:`cross_distances`, thresholded, without building the
+    ``(ma, mb)`` int64 matrix.  Rows of ``a`` go in blocks whose
+    ``(rows, mb)`` XOR buffer stays within ``_CHUNK_WORD_BUDGET``, and
+    per-word popcounts accumulate in the narrowest unsigned type that
+    holds ``64 * w``.  Like :func:`popcount_sum` this always runs in
+    NumPy: the reduction is fused into the block loop, which no
+    dispatched backend method offers.
+    """
+    av = _as_rows(a)
+    bv = _as_rows(b)
+    if av.shape[1] != bv.shape[1]:
+        raise ValueError(f"word-count mismatch: {av.shape[1]} vs {bv.shape[1]}")
+    ma, w = av.shape
+    mb = bv.shape[0]
+    if ma == 0 or mb == 0:
+        return np.full(ma, -1, dtype=np.int64), np.full(ma, -1, dtype=np.int64)
+    rows = min(ma, max(1, _CHUNK_WORD_BUDGET // mb))
+    columns = np.ascontiguousarray(bv.T)  # word-major: each XOR reads contiguously
+    xored = np.empty((rows, mb), dtype=np.uint64)
+    counts = np.empty((rows, mb), dtype=np.uint8)
+    acc = np.zeros((rows, mb), dtype=np.min_scalar_type(64 * w))
+    index = np.empty(ma, dtype=np.int64)
+    dist = np.empty(ma, dtype=np.int64)
+    for start in range(0, ma, rows):
+        stop = min(ma, start + rows)
+        x, c, s = xored[: stop - start], counts[: stop - start], acc[: stop - start]
+        for j in range(w):
+            np.bitwise_xor(av[start:stop, j, None], columns[j], out=x)
+            np.bitwise_count(x, out=c if j else s)
+            if j:
+                np.add(s, c, out=s)
+        best = s.argmin(axis=1)
+        index[start:stop] = best
+        dist[start:stop] = s[np.arange(stop - start), best]
+    miss = dist > limit
+    index[miss] = -1
+    dist[miss] = -1
+    return index, dist
 
 
 def paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from repro.core.delta import midpoint_threshold
+from repro.hamming.distance import nearest_within
 from repro.sketch.levels import LevelSketches
 
 __all__ = [
@@ -97,20 +98,19 @@ class ApproxBallEvaluator:
     def c_witnesses(self, i: int, addresses) -> list:
         """Batched :meth:`c_witness`: one entry per address, same tie-breaks.
 
-        A single broadcast distance kernel replaces the per-address scans;
-        ``np.argmin`` keeps the identical lowest-index tie-break, so entry
-        ``q`` equals ``c_witness(i, addresses[q])`` exactly.
+        One blocked nearest-row search replaces the per-address scans and
+        keeps the identical lowest-index tie-break, so entry ``q`` equals
+        ``c_witness(i, addresses[q])`` exactly.
         """
         addresses = list(addresses)
         if not addresses:
             return []
-        dists = self.sketches.accurate_cross_distances(i, addresses)
-        thr = self.accurate_threshold(i)
-        best = dists.argmin(axis=1)
-        best_dists = dists[np.arange(dists.shape[0]), best]
-        return [
-            int(b) if int(bd) <= thr else None for b, bd in zip(best, best_dists)
-        ]
+        index, _ = nearest_within(
+            np.asarray(addresses, dtype=np.uint64),
+            self.sketches.accurate_db(i),
+            self.accurate_threshold(i),
+        )
+        return [None if z < 0 else z for z in index.tolist()]
 
     def c_masks(self, i: int, addresses) -> np.ndarray:
         """Batched :meth:`c_mask`: ``(B, n)`` boolean membership matrix."""

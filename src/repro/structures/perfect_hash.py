@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.cellprobe.table import LazyTable
 from repro.cellprobe.words import EMPTY, PointWord
-from repro.hamming.distance import cross_distances, paired_distances
+from repro.hamming.distance import paired_distances
 from repro.hamming.points import PackedPoints
 
 __all__ = ["MembershipStructure"]
@@ -51,6 +51,15 @@ class MembershipStructure:
             raise ValueError(f"membership radius must be 0 or 1, got {radius}")
         self.database = database
         self.radius = int(radius)
+        # (stable argsort of the first words, the sorted first words);
+        # built on first batch use — the database is never mutated.
+        self._first_words: Optional[tuple[np.ndarray, np.ndarray]] = None
+        # XOR masks taking a first word to every word within ``radius``
+        # of it: 0, and at radius 1 the 64 one-bit flips.
+        self._masks = np.zeros(1 + 64 * self.radius, dtype=np.uint64)
+        self._masks[1:] = np.left_shift(
+            np.uint64(1), np.arange(64 * self.radius, dtype=np.uint64)
+        )
         n = max(1, len(database))
         d = database.d
         stored_points = n if radius == 0 else (d + 1) * n
@@ -89,28 +98,38 @@ class MembershipStructure:
         """Vectorized form of :meth:`_content` for many probed addresses.
 
         A query within distance ``radius ≤ 1`` of a stored point must be
-        within ``radius`` on the first packed word alone, so one cheap
-        ``(B, n)`` single-word popcount screens the batch and the full
-        ``W``-word distance is computed only for the rare candidate pairs.
-        The survivors go through the same hit selection as ``_content``
-        (prefer exact, lowest index), so contents are identical.
+        within ``radius`` on the first packed word alone.  The database's
+        first words are sorted once, and a binary search for each query's
+        first word — plus, at radius 1, for each of its 64 one-bit flips —
+        finds exactly the rows that pass that screen.  The full ``W``-word
+        distance is computed only for these candidate pairs, which go
+        through the same hit selection as ``_content`` (prefer exact,
+        lowest index), so contents are identical.
         """
         if len(self.database) == 0:
             return [EMPTY] * len(addresses)
         points = np.asarray([tuple(a) for a in addresses], dtype=np.uint64)
         words = self.database.words
         radius = self.radius
-        first_word = cross_distances(points[:, :1], words[:, :1])
-        cand_q, cand_z = np.nonzero(first_word <= radius)
+        if self._first_words is None:
+            order = np.argsort(words[:, 0], kind="stable")
+            self._first_words = (order, words[order, 0])
+        order, keys = self._first_words
+        probes = (points[:, :1] ^ self._masks).ravel()
+        hi = np.searchsorted(keys, probes, side="right")
+        counts = hi - np.searchsorted(keys, probes, side="left")
+        # One (query, index) pair per key match: probe r matches the sorted
+        # positions hi[r] - counts[r] .. hi[r] - 1.  The stable sort orders
+        # each run by index; lexsort merges a query's 65 runs at radius 1.
+        cand_q = np.repeat(np.arange(probes.size) // self._masks.size, counts)
+        cand_z = order[np.repeat(hi - np.cumsum(counts), counts) + np.arange(cand_q.size)]
+        by = np.lexsort((cand_z, cand_q))
+        cand_q, cand_z = cand_q[by], cand_z[by]
         best: dict[int, tuple[bool, int]] = {}  # query row -> (found exact, index)
         if cand_q.size:
-            if points.shape[1] == 1:
-                cand_dists = first_word[cand_q, cand_z]
-            else:
-                cand_dists = paired_distances(points[cand_q], words[cand_z])
-            # Candidates arrive sorted by (query, index), so the first hit
-            # per query is the lowest index and the first exact hit is the
-            # lowest-index exact — matching _content's selection.
+            cand_dists = paired_distances(points[cand_q], words[cand_z])
+            # The first hit per query is the lowest index and the first
+            # exact hit is the lowest-index exact — matching _content.
             for q, z, dist in zip(cand_q.tolist(), cand_z.tolist(), cand_dists.tolist()):
                 if dist > radius:
                     continue

@@ -143,3 +143,127 @@ def test_lazy_table_prefetch_length_mismatch_raises():
     )
     with pytest.raises(ValueError, match="addresses"):
         table.prefetch([1, 2])
+
+
+# -- adversarial membership and witness cases ------------------------------
+
+
+def flip(row, *bits):
+    """A copy of packed ``row`` with the given bit positions flipped."""
+    out = np.array(row, dtype=np.uint64, copy=True)
+    for bit in bits:
+        out[bit // 64] ^= np.uint64(1) << np.uint64(bit % 64)
+    return out
+
+
+def membership_hits(words, d, probes):
+    """``{radius: [hit index or None per probe]}``, after checking that the
+    batched contents equal the scalar ones at both radii."""
+    db = PackedPoints(words, d)
+    hits = {}
+    for radius in (0, 1):
+        structure = MembershipStructure(db, radius=radius, name=f"B{radius}")
+        addresses = [structure.address_for(p) for p in probes]
+        batch = structure._batch_contents(addresses)
+        scalar = [structure._content(a) for a in addresses]
+        assert all(words_equal(b, s) for b, s in zip(batch, scalar))
+        hits[radius] = [w.index if isinstance(w, PointWord) else None for w in batch]
+    return hits
+
+
+def random_rows(seed, n, d):
+    return random_points(np.random.default_rng(seed), n, d)
+
+
+def test_membership_duplicate_rows_return_the_lower_index():
+    words = random_rows(31, 6, 192)
+    words[4] = words[1]
+    assert membership_hits(words, 192, [words[1]]) == {0: [1], 1: [1]}
+
+
+def test_membership_two_distance_one_rows_return_the_lower_index():
+    words = random_rows(32, 7, 192)
+    probe = words[0].copy()
+    words[2] = flip(probe, 63)  # the first word's top bit
+    words[5] = flip(probe, 130)
+    words[0] = flip(probe, 70, 71, 72)
+    assert membership_hits(words, 192, [probe]) == {0: [None], 1: [2]}
+
+
+def test_membership_exact_match_beats_a_lower_distance_one_row():
+    words = random_rows(33, 6, 192)
+    probe = words[4].copy()
+    words[1] = flip(probe, 100)
+    assert membership_hits(words, 192, [probe]) == {0: [4], 1: [4]}
+
+
+def test_membership_rejects_a_first_word_match_far_on_later_words():
+    words = random_rows(34, 5, 192)
+    probes = [
+        flip(words[3], 64, 65),  # two bits in the second word
+        flip(words[3], 70, 150),  # one bit in each later word
+        flip(words[3], 0, 64),  # one bit in the first, one in a later word
+    ]
+    assert membership_hits(words, 192, probes) == {0: [None] * 3, 1: [None] * 3}
+    # A single later-word bit is a genuine radius-1 hit.
+    assert membership_hits(words, 192, [flip(words[3], 131)]) == {0: [None], 1: [3]}
+
+
+@pytest.mark.parametrize("d", [64, 40])
+def test_membership_single_word_rows(d):
+    words = random_rows(35, 8, d)
+    words[6] = words[2]
+    words[5] = flip(words[1], 3)
+    words[7] = flip(words[1], d - 1)
+    probes = [
+        words[2],  # duplicated at 2 and 6
+        words[1],  # exact at 1, also distance 1 from 5 and 7
+        flip(words[5], 0),  # distance 1 from 5, not from 1 (bits 0 and 3)
+        flip(words[0], 0, 1),  # distance 2 from row 0
+        flip(words[0], d - 1),  # distance 1 from row 0 in the top bit
+    ]
+    hits = membership_hits(words, d, probes)
+    assert hits == {0: [2, 1, None, None, None], 1: [2, 1, 5, None, 0]}
+
+
+@pytest.mark.parametrize("source", ["setflags", "mmap"])
+def test_membership_read_only_words(tmp_path, source):
+    words = random_rows(36, 9, 192)
+    words[7] = words[2]
+    if source == "mmap":
+        np.save(tmp_path / "words.npy", words)
+        words = np.load(tmp_path / "words.npy", mmap_mode="r")
+    else:
+        words.setflags(write=False)
+    probes = [words[7], flip(words[3], 9), flip(words[3], 9, 10)]
+    hits = membership_hits(words, 192, probes)
+    assert hits == {0: [2, None, None], 1: [2, 3, None]}
+    assert not PackedPoints(words, 192).words.flags.writeable
+
+
+def test_main_table_duplicate_rows_tie_to_the_lowest_index():
+    gen = np.random.default_rng(37)
+    d = 192
+    base = random_points(gen, 12, d)
+    # Every base row appears three times at scattered positions, so each
+    # witness search ties between identical sketches.
+    words = base[gen.permutation(np.repeat(np.arange(12), 3))]
+    db = PackedPoints(words, d)
+    family = SketchFamily(
+        d=d, alpha=2.0, levels=5, accurate_rows=48, coarse_rows=12,
+        rng_tree=RngTree(5),
+    )
+    evaluator = ApproxBallEvaluator(LevelSketches(db, family))
+    probes = list(base) + [flip_random_bits(gen, row, 2, d) for row in base]
+    for level in (0, 2, 5):
+        table = MainLevelTable(evaluator, level)
+        addresses = [family.accurate_address(level, p) for p in probes]
+        batch = table._batch_contents(addresses)
+        scalar = [table._content(a) for a in addresses]
+        assert all(words_equal(b, s) for b, s in zip(batch, scalar))
+        for word in batch:
+            if isinstance(word, PointWord):
+                first = np.flatnonzero((words == words[word.index]).all(axis=1))[0]
+                assert word.index == first
+        # The exact probes always have a witness at distance 0.
+        assert all(isinstance(w, PointWord) for w in batch[:12])
