@@ -8,19 +8,21 @@ single query — alongside an end-to-end ``ANNIndex.query_batch``
 equality check under each backend.
 
 The lockstep sweep builds no distance matrix for the level tables
-``T_i``: their cells come from ``nearest_within``, a
-blocked nearest-row search that runs in NumPy under every backend.  It
-is timed at batch 256 on the level-table shape (8192 database sketches
-of a 104-row accurate sketch, two words each) and checked against the
-thresholded first ``argmin`` of ``cross_distances`` under every kernel.
+``T_i``: their cells come from ``nearest_within``, the backend's
+nearest-row search, and their addresses from ``parity_sketch``, the
+backend's GF(2) sketch.  Both are timed per kernel at batch 256: the
+witness search on the level-table shape (8192 database sketches of a
+104-row accurate sketch, two words each), the sketch as 256 queries of
+d=1024 through one 104-row mask.
 
 Criteria (asserted):
 
-* every backend's distance matrices are **bitwise-equal** to the
-  reference backend's in the same run, and ``query_batch`` answers and
-  probe/round accounting are field-by-field identical;
-* ``nearest_within``'s indices and distances are **bitwise-equal** to
-  the thresholded first ``argmin`` of each backend's
+* every backend's distance matrices, witnesses and sketches are
+  **bitwise-equal** to the reference backend's in the same run, and
+  ``query_batch`` answers and probe/round accounting are field-by-field
+  identical;
+* the reference ``nearest_within``'s indices and distances are
+  **bitwise-equal** to the thresholded first ``argmin`` of
   ``cross_distances``;
 * with a compiled backend registered, batch throughput at batch ≥ 256
   is at least 1.5× the reference backend's queries/sec (self-skips when
@@ -28,8 +30,9 @@ Criteria (asserted):
 
 The table is persisted via ``artifacts.py`` as
 ``results/BENCH_e20_hot_path.json`` with per-kernel ``*_qps_*`` metrics
-and ``nearest_qps_b256``, which the CI perf gate (``--gate-qps-drop``)
-compares run over run on like-for-like provenance.
+(``<kernel>_nearest_qps_b256`` and ``<kernel>_parity_qps_b256`` among
+them), which the CI perf gate (``--gate-qps-drop``) compares run over
+run on like-for-like provenance.
 
 Catalog of all experiments: ``docs/BENCHMARKS.md``.
 """
@@ -45,10 +48,12 @@ from repro.hamming.distance import (
     cross_distances,
     hamming_distance_many,
     nearest_within,
+    parity_sketch,
 )
 from repro.hamming.kernels import available_kernels, use_kernel
 from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import flip_random_bits, random_points
+from repro.sketch.parity import ParitySketch
 
 # A database big enough that one sweep leaves the L2 cache: 8192 rows of
 # 16 words (d=1024) is 1 MiB of packed points per full screen.
@@ -63,6 +68,7 @@ SPEEDUP_FLOOR = 1.5
 SKETCH_ROWS = 104
 NEAREST_BATCH = 256
 NEAREST_LIMIT = 26
+MASK_P = 1 / 8  # mask density; neither backend's cost depends on it
 
 # Small end-to-end workload for the engine-level equality check.
 INDEX_SPEC = IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=20)
@@ -132,7 +138,7 @@ def _thresholded_first_argmin(a, b, limit):
 
 
 @pytest.fixture(scope="module")
-def e20_nearest(report_table):
+def e20_nearest(e20_workload, report_table):
     gen = np.random.default_rng(2021)
     sketches = random_points(gen, N, SKETCH_ROWS)
     near = [
@@ -140,26 +146,40 @@ def e20_nearest(report_table):
         for i in gen.integers(0, N, size=NEAREST_BATCH // 2)
     ]
     addresses = np.vstack(near + [random_points(gen, NEAREST_BATCH // 2, SKETCH_ROWS)])
-    qps, (index, dist) = _best_qps(
-        lambda: nearest_within(addresses, sketches, NEAREST_LIMIT), NEAREST_BATCH
-    )
-    rows = [{"path": "nearest_within (NumPy under every kernel)", "q/s b256": round(qps, 1)}]
+    points = e20_workload[1][:NEAREST_BATCH]
+    mask = ParitySketch(SKETCH_ROWS, D, MASK_P, gen).mask
+    rows, reference = [], None
     for kernel in available_kernels():
         with use_kernel(kernel):
-            matrix_qps, (want_index, want_dist) = _best_qps(
-                lambda: _thresholded_first_argmin(addresses, sketches, NEAREST_LIMIT),
-                NEAREST_BATCH,
+            nearest_qps, found = _best_qps(
+                lambda: nearest_within(addresses, sketches, NEAREST_LIMIT), NEAREST_BATCH
             )
-        assert np.array_equal(index, want_index) and np.array_equal(dist, want_dist), (
-            f"nearest_within diverged from kernel {kernel!r}'s thresholded argmin"
+            parity_qps, sketched = _best_qps(lambda: parity_sketch(points, mask), NEAREST_BATCH)
+        if reference is None:  # available_kernels() lists reference first
+            reference = found, sketched
+            want = _thresholded_first_argmin(addresses, sketches, NEAREST_LIMIT)
+            assert all(np.array_equal(g, w) for g, w in zip(found, want)), (
+                "nearest_within diverged from the thresholded first argmin"
+            )
+        assert all(np.array_equal(g, w) for g, w in zip(found, reference[0])), (
+            f"kernel {kernel!r}'s nearest_within diverged from reference"
+        )
+        assert np.array_equal(sketched, reference[1]), (
+            f"kernel {kernel!r}'s parity_sketch diverged from reference"
         )
         rows.append(
-            {"path": f"cross_distances + argmin ({kernel})", "q/s b256": round(matrix_qps, 1)}
+            {
+                "kernel": kernel,
+                "nearest_within q/s b256": round(nearest_qps, 1),
+                "parity_sketch q/s b256": round(parity_qps, 1),
+            }
         )
     report_table(
-        f"E20: level-table witness search (n={N}, {SKETCH_ROWS}-row sketches)", rows
+        f"E20: per-sweep loops (n={N} {SKETCH_ROWS}-row sketches; d={D} "
+        f"points through a {SKETCH_ROWS}-row mask)",
+        rows,
     )
-    return {"qps": qps, "hits": int((index >= 0).sum())}
+    return {"rows": rows, "hits": int((reference[0][0] >= 0).sum())}
 
 
 def _qps(rows, kernel, batch_size):
@@ -193,8 +213,8 @@ def test_e20_engine_answers_identical_under_every_kernel():
 
 
 def test_e20_nearest_within_equals_thresholded_argmin(e20_nearest):
-    # The fixture asserts equality under every kernel; both outcomes of
-    # the threshold must have been exercised for that to mean anything.
+    # The fixture asserts the equalities; both outcomes of the threshold
+    # must have been exercised for them to mean anything.
     assert 0 < e20_nearest["hits"] < NEAREST_BATCH
 
 
@@ -214,7 +234,10 @@ def test_e20_compiled_speedup_at_batch_256(e20_rows):
 def test_e20_artifact(e20_rows, e20_nearest):
     from artifacts import write_artifact
 
-    metrics = {"nearest_qps_b256": round(e20_nearest["qps"], 1)}
+    metrics = {}
+    for row in e20_nearest["rows"]:
+        metrics[f"{row['kernel']}_nearest_qps_b256"] = row["nearest_within q/s b256"]
+        metrics[f"{row['kernel']}_parity_qps_b256"] = row["parity_sketch q/s b256"]
     for row in e20_rows:
         kernel = row["kernel"]
         metrics[f"{kernel}_latency_b1_ms"] = row["latency b1 (ms)"]

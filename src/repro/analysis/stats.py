@@ -22,9 +22,6 @@ class Summary:
     minimum: float
     maximum: float
 
-    def as_tuple(self) -> Tuple[int, float, float, float, float]:
-        return (self.count, self.mean, self.std, self.minimum, self.maximum)
-
 
 def summarize(values: Sequence[float]) -> Summary:
     """Summary statistics of a non-empty sample."""

@@ -643,8 +643,9 @@ def _build_parser() -> argparse.ArgumentParser:
         from repro.hamming.kernels import available_kernels
 
         p.add_argument("--kernel", choices=available_kernels(), default=None,
-                       help="popcount/distance kernel backend "
-                            "(default: env REPRO_KERNEL, else 'reference')")
+                       help="popcount/distance kernel backend (default: env "
+                            "REPRO_KERNEL, else 'cbits' when it builds, "
+                            "else 'reference')")
 
     p = sub.add_parser("schemes", help="list the scheme registry")
     p.set_defaults(fn=_cmd_schemes)

@@ -1,6 +1,6 @@
 """The ``cbits`` kernel backend: fused C popcount/XOR loops via ctypes.
 
-No new Python dependency: a ~60-line C source embedded below is compiled
+No new Python dependency: a ~120-line C source embedded below is compiled
 once per (source, compiler path+version, flags) digest with the *system*
 C compiler into a shared library cached under ``$REPRO_CBITS_CACHE``, else
 ``$XDG_CACHE_HOME/repro/cbits``, else ``~/.cache/repro/cbits`` (mode 0700 and
@@ -17,7 +17,10 @@ per chunk.
 OpenMP is used when the compiler supports it (``-fopenmp`` is tried
 first, then dropped): every parallel loop writes disjoint ``out[i]``
 slots with integer-only arithmetic, so results are deterministic and
-bitwise-identical regardless of thread count.
+bitwise-identical regardless of thread count.  The witness search and
+the parity sketch stay serial: they run once per sweep on batch-sized
+inputs, and on a 2-vCPU VM an OpenMP variant of them did no better on
+the benchmark's ``batch_cold`` workload, which counts process CPU time.
 
 Availability is decided at import by :mod:`repro.hamming.kernels`'
 discovery: ``build_backend()`` raising (no compiler, sandboxed tmp,
@@ -105,6 +108,62 @@ void repro_paired(const uint64_t *a, const uint64_t *b, int64_t m, int64_t w,
         for (int64_t j = 0; j < w; j++)
             acc += __builtin_popcountll(ra[j] ^ rb[j]);
         out[i] = acc;
+    }
+}
+
+/* The level-table witness search: per row of a, the first row of b at
+   minimum distance (strict <), or -1/-1 beyond limit.  One and two words
+   (the 104-bit accurate sketch) keep the query in registers. */
+void repro_nearest_within(const uint64_t *a, int64_t ma, const uint64_t *b,
+                          int64_t mb, int64_t w, int64_t limit,
+                          int64_t *index, int64_t *dist) {
+    for (int64_t i = 0; i < ma; i++) {
+        const uint64_t *ra = a + i * w;
+        int64_t best = INT64_MAX, at = 0;
+        if (w == 1) {
+            const uint64_t x0 = ra[0];
+            for (int64_t k = 0; k < mb; k++) {
+                int64_t d = __builtin_popcountll(x0 ^ b[k]);
+                if (d < best) { best = d; at = k; }
+            }
+        } else if (w == 2) {
+            const uint64_t x0 = ra[0], x1 = ra[1];
+            for (int64_t k = 0; k < mb; k++) {
+                int64_t d = __builtin_popcountll(x0 ^ b[2 * k])
+                          + __builtin_popcountll(x1 ^ b[2 * k + 1]);
+                if (d < best) { best = d; at = k; }
+            }
+        } else {
+            for (int64_t k = 0; k < mb; k++) {
+                const uint64_t *rb = b + k * w;
+                int64_t d = 0;
+                for (int64_t j = 0; j < w; j++)
+                    d += __builtin_popcountll(ra[j] ^ rb[j]);
+                if (d < best) { best = d; at = k; }
+            }
+        }
+        index[i] = best > limit ? -1 : at;
+        dist[i] = best > limit ? -1 : best;
+    }
+}
+
+/* GF(2) sketch: bit r of out row q is parity(popcount(points[q] & mask[r])),
+   packed little-endian with zero tail bits. */
+void repro_parity_sketch(const uint64_t *points, int64_t m, int64_t w,
+                         const uint64_t *mask, int64_t rows, uint64_t *out) {
+    const int64_t ow = (rows + 63) / 64;
+    for (int64_t q = 0; q < m; q++) {
+        const uint64_t *p = points + q * w;
+        uint64_t *o = out + q * ow;
+        for (int64_t k = 0; k < ow; k++)
+            o[k] = 0;
+        for (int64_t r = 0; r < rows; r++) {
+            const uint64_t *mr = mask + r * w;
+            uint64_t fold = 0;
+            for (int64_t j = 0; j < w; j++)
+                fold ^= p[j] & mr[j];
+            o[r >> 6] |= (uint64_t)(__builtin_popcountll(fold) & 1) << (r & 63);
+        }
     }
 }
 """
@@ -241,6 +300,10 @@ class CBitsBackend(KernelBackend):
         lib.repro_cross.restype = None
         lib.repro_paired.argtypes = [u64p, u64p, i64, i64, i64p]
         lib.repro_paired.restype = None
+        lib.repro_nearest_within.argtypes = [u64p, i64, u64p, i64, i64, i64, i64p, i64p]
+        lib.repro_nearest_within.restype = None
+        lib.repro_parity_sketch.argtypes = [u64p, i64, i64, u64p, i64, u64p]
+        lib.repro_parity_sketch.restype = None
 
     @staticmethod
     def _u64(arr: np.ndarray):
@@ -287,6 +350,24 @@ class CBitsBackend(KernelBackend):
         bp, keep_b = self._u64(b)
         out, optr = self._out(m)
         self._lib.repro_paired(ap, bp, m, w, optr)
+        return out
+
+    def nearest_within(self, a: np.ndarray, b: np.ndarray, limit: int) -> tuple:
+        ma, w = a.shape
+        ap, keep_a = self._u64(a)
+        bp, keep_b = self._u64(b)
+        index, iptr = self._out(ma)
+        dist, dptr = self._out(ma)
+        self._lib.repro_nearest_within(ap, ma, bp, b.shape[0], w, limit, iptr, dptr)
+        return index, dist
+
+    def parity_sketch(self, points: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        m, w = points.shape
+        rows = mask.shape[0]
+        pp, keep_p = self._u64(points)
+        mp, keep_m = self._u64(mask)
+        out = np.empty((m, (rows + 63) // 64), dtype=np.uint64)
+        self._lib.repro_parity_sketch(pp, m, w, mp, rows, self._u64(out)[0])
         return out
 
 

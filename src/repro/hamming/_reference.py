@@ -10,25 +10,18 @@ keeps scratch in ``threading.local`` storage, so the module-global
 singleton backend stays safe under concurrent callers).  Pooling only swaps
 ``a ^ b`` for ``np.bitwise_xor(a, b, out=...)`` (and likewise for
 ``bitwise_count``/``sum``) — elementwise-identical, so results stay
-bitwise-equal to the historical code path.
+bitwise-equal to the historical code path.  The witness search and the
+parity sketch are the :class:`~repro.hamming.kernels.KernelBackend`
+defaults, inherited unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hamming.kernels import KernelBackend, ScratchPool
+from repro.hamming.kernels import KernelBackend, ScratchPool, _chunk_budget
 
 __all__ = ["ReferenceBackend"]
-
-
-def _chunk_budget() -> int:
-    # Late-bound on purpose: tests (and callers tuning memory) patch
-    # repro.hamming.distance._CHUNK_WORD_BUDGET, and that knob must keep
-    # steering the chunk loops now that they live behind the seam.
-    from repro.hamming import distance
-
-    return distance._CHUNK_WORD_BUDGET
 
 
 class ReferenceBackend(KernelBackend):

@@ -8,15 +8,17 @@ hands real work to the active :class:`~repro.hamming.kernels.KernelBackend`
 (``reference`` = NumPy ``np.bitwise_count``; see
 :mod:`repro.hamming.kernels` for ``set_kernel``/``REPRO_KERNEL``).
 Validation living here — not in backends — is what makes the error
-contract identical under every backend by construction.  Two functions
-never dispatch and run in NumPy under every backend: ``popcount_sum``
-and ``nearest_within``.
+contract identical under every backend by construction.  One function
+never dispatches and runs in NumPy under every backend:
+``popcount_sum``.
 
 Every backend chunks its work so peak memory stays bounded even for
 one-vs-a-million queries; ``_CHUNK_WORD_BUDGET`` below remains the knob.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "nearest_within",
     "paired_distances",
     "pairwise_distances",
+    "parity_sketch",
     "popcount_rows",
     "popcount_sum",
 ]
@@ -60,11 +63,10 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
 def popcount_sum(words: np.ndarray, axis=-1, dtype=np.int64) -> np.ndarray:
     """Popcount reduced along ``axis`` with an explicit accumulator dtype.
 
-    The escape hatch for *non-distance* bit counting (e.g. the sketch
-    layer's parity sums, which deliberately accumulate mod 256 in uint8).
-    Always computed by the NumPy reference path — backend dispatch covers
-    the five distance kernels only — but living here keeps every popcount
-    behind ``repro/hamming/`` (rule R007).
+    The escape hatch for *non-distance* bit counting outside the seam
+    (e.g. a parity sum that accumulates mod 256 in uint8).  Always
+    computed in NumPy — no backend method covers it — but living here
+    keeps every popcount behind ``repro/hamming/`` (rule R007).
     """
     return np.bitwise_count(np.asarray(words, dtype=np.uint64)).sum(
         axis=axis, dtype=dtype
@@ -132,12 +134,8 @@ def nearest_within(a: np.ndarray, b: np.ndarray, limit: int) -> tuple[np.ndarray
     lowest-index row of ``b`` at minimum distance, or ``(-1, -1)`` when
     that distance exceeds ``limit`` — exactly the first ``argmin`` of
     :func:`cross_distances`, thresholded, without building the
-    ``(ma, mb)`` int64 matrix.  Rows of ``a`` go in blocks whose
-    ``(rows, mb)`` XOR buffer stays within ``_CHUNK_WORD_BUDGET``, and
-    per-word popcounts accumulate in the narrowest unsigned type that
-    holds ``64 * w``.  Like :func:`popcount_sum` this always runs in
-    NumPy: the reduction is fused into the block loop, which no
-    dispatched backend method offers.
+    ``(ma, mb)`` int64 matrix.  The search itself is the active
+    backend's :meth:`~repro.hamming.kernels.KernelBackend.nearest_within`.
     """
     av = _as_rows(a)
     bv = _as_rows(b)
@@ -147,28 +145,37 @@ def nearest_within(a: np.ndarray, b: np.ndarray, limit: int) -> tuple[np.ndarray
     mb = bv.shape[0]
     if ma == 0 or mb == 0:
         return np.full(ma, -1, dtype=np.int64), np.full(ma, -1, dtype=np.int64)
-    rows = min(ma, max(1, _CHUNK_WORD_BUDGET // mb))
-    columns = np.ascontiguousarray(bv.T)  # word-major: each XOR reads contiguously
-    xored = np.empty((rows, mb), dtype=np.uint64)
-    counts = np.empty((rows, mb), dtype=np.uint8)
-    acc = np.zeros((rows, mb), dtype=np.min_scalar_type(64 * w))
-    index = np.empty(ma, dtype=np.int64)
-    dist = np.empty(ma, dtype=np.int64)
-    for start in range(0, ma, rows):
-        stop = min(ma, start + rows)
-        x, c, s = xored[: stop - start], counts[: stop - start], acc[: stop - start]
-        for j in range(w):
-            np.bitwise_xor(av[start:stop, j, None], columns[j], out=x)
-            np.bitwise_count(x, out=c if j else s)
-            if j:
-                np.add(s, c, out=s)
-        best = s.argmin(axis=1)
-        index[start:stop] = best
-        dist[start:stop] = s[np.arange(stop - start), best]
-    miss = dist > limit
-    index[miss] = -1
-    dist[miss] = -1
-    return index, dist
+    if w == 0:  # every row of b is at distance 0: the first one wins
+        value = 0 if limit >= 0 else -1
+        return np.full(ma, value, dtype=np.int64), np.full(ma, value, dtype=np.int64)
+    # Distances are integers in [0, 64 w], so this integer limit answers
+    # exactly as ``limit`` does.
+    limit = math.floor(min(max(limit, -1), 64 * w))
+    return kernels.active_backend().nearest_within(av, bv, limit)
+
+
+def parity_sketch(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """GF(2) sketch of packed points: ``(m, w) x (rows, w) -> (m, ceil(rows/64))``.
+
+    Bit ``r`` of output row ``q`` is the parity of
+    ``popcount(points[q] & mask[r])``; output rows are packed uint64,
+    little-endian, with zero tail bits.  Both operands must be 2-D uint64
+    arrays with the same word count.  The work is the active backend's
+    :meth:`~repro.hamming.kernels.KernelBackend.parity_sketch`.
+    """
+    pts = np.asarray(points)
+    msk = np.asarray(mask)
+    if pts.dtype != np.uint64 or msk.dtype != np.uint64:
+        raise ValueError(f"parity_sketch needs uint64 words, got {pts.dtype} and {msk.dtype}")
+    if pts.ndim != 2 or msk.ndim != 2:
+        raise ValueError(f"parity_sketch needs 2-D arrays, got shapes {pts.shape} and {msk.shape}")
+    if pts.shape[1] != msk.shape[1]:
+        raise ValueError(f"word-count mismatch: {pts.shape[1]} vs {msk.shape[1]}")
+    m, w = pts.shape
+    rows = msk.shape[0]
+    if m == 0 or rows == 0 or w == 0:
+        return np.zeros((m, (rows + 63) // 64), dtype=np.uint64)
+    return kernels.active_backend().parity_sketch(pts, msk)
 
 
 def paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

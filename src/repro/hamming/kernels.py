@@ -16,19 +16,21 @@ Backends
 ``cbits``
     A small C library compiled on demand with the system C compiler and
     loaded through ``ctypes``: fused XOR+popcount loops, no Python-level
-    temporaries.  Registers only when a working compiler is found (set
-    ``REPRO_NO_CBITS=1`` to skip the build entirely).
+    temporaries.  Registers only when a working compiler is found and the
+    library passes the differential self-check (set ``REPRO_NO_CBITS=1``
+    to skip the build entirely); when it registers, it is the active
+    backend from import on.  Otherwise the seam stays on ``reference``.
 
 Selection flows through exactly one runtime surface:
 
 * :func:`set_kernel` / :func:`use_kernel` in process,
-* env ``REPRO_KERNEL`` at import (unknown names warn and fall back to
-  ``reference`` — loud but graceful),
+* env ``REPRO_KERNEL`` at import (unknown names warn and keep the
+  default — loud but graceful),
 * ``--kernel`` on the ``bench``/``serve``/``shard-serve``/``route`` CLI
   verbs, which just calls :func:`set_kernel`.
 
 The hard contract: every registered backend returns **bitwise-identical**
-results to ``reference`` for all five seam functions.  A quick
+results to ``reference`` for all seven backend methods.  A quick
 differential self-check runs before any optional backend registers, and
 ``tests/hamming/test_kernel_equivalence.py`` holds the full property
 suite over adversarial shapes.
@@ -43,6 +45,8 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
+
+from repro.hamming.packing import pack_bits
 
 __all__ = [
     "ENV_VAR",
@@ -66,6 +70,19 @@ ENV_VAR = "REPRO_KERNEL"
 # Test suites parametrize over this tuple so missing backends show up as
 # explicit skips instead of silently shrinking coverage.
 KNOWN_KERNELS: Tuple[str, ...] = ("reference", "cbits")
+
+# Bound on the elements of the (point_block × row_block × words) AND buffer
+# of the NumPy parity sketch; ~2^21 uint64 ≈ 16 MB.
+_APPLY_BUFFER_ELEMENTS = 1 << 21
+
+
+def _chunk_budget() -> int:
+    # Late-bound on purpose: tests (and callers tuning memory) patch
+    # repro.hamming.distance._CHUNK_WORD_BUDGET, and that knob must keep
+    # steering the chunk loops now that they live behind the seam.
+    from repro.hamming import distance
+
+    return distance._CHUNK_WORD_BUDGET
 
 
 class ScratchPool:
@@ -130,11 +147,12 @@ class ScratchPool:
 class KernelBackend:
     """One popcount/XOR-distance implementation behind the seam.
 
-    Subclasses implement the four primitive kernels below.  Inputs are
-    pre-validated by :mod:`repro.hamming.distance`: uint64 ndarrays
-    (possibly non-contiguous views) with ``m >= 1`` rows and ``w >= 1``
-    words — the degenerate shapes are answered by the dispatchers, so a
-    backend never sees them.  Outputs must be exact int64 counts,
+    Subclasses implement the four primitive kernels below; the other
+    three methods have NumPy defaults a backend may override.  Inputs
+    are pre-validated by :mod:`repro.hamming.distance`: uint64 ndarrays
+    (possibly non-contiguous views or read-only memmaps) with ``m >= 1``
+    rows and ``w >= 1`` words — the degenerate shapes are answered by the
+    dispatchers, so a backend never sees them.  Outputs must be
     bitwise-identical to the ``reference`` backend.
     """
 
@@ -160,6 +178,69 @@ class KernelBackend:
     def paired_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``(m, w) vs (m, w) -> (m,)`` row-paired distances."""
         return self.popcount_rows(np.bitwise_xor(a, b))
+
+    def nearest_within(
+        self, a: np.ndarray, b: np.ndarray, limit: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ma, w) vs (mb, w) -> (index, distance)``, two int64 ``(ma,)``.
+
+        Per row of ``a``: the lowest-index row of ``b`` at minimum
+        distance, or ``(-1, -1)`` when that distance exceeds ``limit``
+        (an int in ``[-1, 64 * w]``).  This default works through blocks
+        of ``a`` rows whose ``(rows, mb)`` XOR buffer stays within
+        ``_CHUNK_WORD_BUDGET``, and accumulates per-word popcounts in the
+        narrowest unsigned type that holds ``64 * w``.
+        """
+        ma, w = a.shape
+        mb = b.shape[0]
+        rows = min(ma, max(1, _chunk_budget() // mb))
+        columns = np.ascontiguousarray(b.T)  # word-major: each XOR reads contiguously
+        xored = np.empty((rows, mb), dtype=np.uint64)
+        counts = np.empty((rows, mb), dtype=np.uint8)
+        acc = np.zeros((rows, mb), dtype=np.min_scalar_type(64 * w))
+        index = np.empty(ma, dtype=np.int64)
+        dist = np.empty(ma, dtype=np.int64)
+        for start in range(0, ma, rows):
+            stop = min(ma, start + rows)
+            x, c, s = xored[: stop - start], counts[: stop - start], acc[: stop - start]
+            for j in range(w):
+                np.bitwise_xor(a[start:stop, j, None], columns[j], out=x)
+                np.bitwise_count(x, out=c if j else s)
+                if j:
+                    np.add(s, c, out=s)
+            best = s.argmin(axis=1)
+            index[start:stop] = best
+            dist[start:stop] = s[np.arange(stop - start), best]
+        miss = dist > limit
+        index[miss] = -1
+        dist[miss] = -1
+        return index, dist
+
+    def parity_sketch(self, points: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """``(m, w) x (rows, w) -> (m, ceil(rows / 64))`` packed GF(2) sketch.
+
+        Bit ``r`` of output row ``q`` is the parity of
+        ``popcount(points[q] & mask[r])``, packed little-endian with zero
+        tail bits.  This default tiles rows and points so the AND buffer
+        stays within ``_APPLY_BUFFER_ELEMENTS`` words.
+        """
+        m, w = points.shape
+        rows = mask.shape[0]
+        bits = np.empty((m, rows), dtype=np.uint8)
+        row_block = max(1, min(rows, _APPLY_BUFFER_ELEMENTS // w // min(m, 1024)))
+        pt_block = max(1, _APPLY_BUFFER_ELEMENTS // w // row_block)
+        for r0 in range(0, rows, row_block):
+            r1 = min(rows, r0 + row_block)
+            band = mask[r0:r1]  # (B, W)
+            for q0 in range(0, m, pt_block):
+                q1 = min(m, q0 + pt_block)
+                # (Q, B, W) AND buffer -> per-(point,row) popcount parity.
+                # Summing uint8 popcounts wraps mod 256, which preserves
+                # the parity bit while moving 8x less memory than int64.
+                anded = points[q0:q1, None, :] & band[None, :, :]
+                counts = np.bitwise_count(anded).sum(axis=2, dtype=np.uint8)
+                bits[q0:q1, r0:r1] = counts & np.uint8(1)
+        return pack_bits(bits, rows)
 
 
 _REGISTRY: Dict[str, KernelBackend] = {}
@@ -249,18 +330,32 @@ def _self_check(backend: KernelBackend) -> None:
     reference = _REGISTRY["reference"]
     # Deterministic well-mixed words (a Weyl sequence) — no RNG needed,
     # the check is differential, not statistical.
-    base = np.arange(36, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    base = np.arange(246, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     a = (base[:15] ^ np.uint64(0xDEADBEEFCAFEBABE)).reshape(5, 3)
     b = base[15:36].reshape(7, 3).copy()
     b[0] = ~np.uint64(0)
     b[1] = 0
+    # Witness search: rows 2 and 7 of `near` tie, an exact copy of row 2
+    # and a one-bit flip of it meet limit 1, and the rows of `a` miss it.
+    near = np.vstack([b, b[2]])
+    probes = np.vstack([b[2], b[2], a])
+    probes[1, 0] ^= np.uint64(1)
+    # Parity: 70 mask rows (the second output word has 58 tail bits),
+    # one all-zero and one all-one.
+    mask = base[36:246].reshape(70, 3).copy()
+    mask[0] = 0
+    mask[1] = ~np.uint64(0)
     checks = [
         (backend.popcount_rows(a), reference.popcount_rows(a)),
         (backend.hamming_distance(a[0], a[1]), reference.hamming_distance(a[0], a[1])),
         (backend.hamming_distance_many(a[0], b), reference.hamming_distance_many(a[0], b)),
         (backend.cross_distances(a, b), reference.cross_distances(a, b)),
         (backend.paired_distances(a, a[::-1]), reference.paired_distances(a, a[::-1])),
+        (backend.parity_sketch(a, mask), reference.parity_sketch(a, mask)),
     ]
+    for w in (1, 2, 3):  # the one- and two-word loops, then the general one
+        x, y = probes[:, :w], near[:, :w]
+        checks.append((backend.nearest_within(x, y, 1), reference.nearest_within(x, y, 1)))
     for got, want in checks:
         if not np.array_equal(np.asarray(got), np.asarray(want)):
             raise RuntimeError(
@@ -272,10 +367,12 @@ def _self_check(backend: KernelBackend) -> None:
 def _discover() -> None:
     """Register the reference backend, then try the optional ``cbits`` one.
 
-    The optional backend fails *loudly but gracefully*: any exception during
-    import/build/self-check is recorded in :func:`unavailable_kernels`
-    (surfaced by ``set_kernel`` errors and ``kernel_info``) instead of
-    breaking import — the seam always works on ``reference``.
+    A ``cbits`` library that builds and passes the self-check registers
+    and becomes the active backend.  The optional backend fails *loudly
+    but gracefully*: any exception during import/build/self-check is
+    recorded in :func:`unavailable_kernels` (surfaced by ``set_kernel``
+    errors and ``kernel_info``) instead of breaking import — the seam
+    then stays on ``reference``.
     """
     global _ACTIVE
     from repro.hamming._reference import ReferenceBackend
@@ -287,7 +384,7 @@ def _discover() -> None:
 
         backend = build_backend()
         _self_check(backend)
-        register_kernel(backend)
+        _ACTIVE = register_kernel(backend)
     except Exception as exc:  # noqa: BLE001 - record, never break import
         _UNAVAILABLE["cbits"] = f"{type(exc).__name__}: {exc}"
 
@@ -300,7 +397,7 @@ def _apply_env() -> None:
         set_kernel(choice)
     except ValueError as exc:
         warnings.warn(
-            f"{ENV_VAR}={choice!r} ignored ({exc}); staying on 'reference'",
+            f"{ENV_VAR}={choice!r} ignored ({exc}); staying on {_ACTIVE.name!r}",
             RuntimeWarning,
             stacklevel=2,
         )

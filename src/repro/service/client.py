@@ -101,17 +101,28 @@ class RemoteResult:
         )
 
 
-def _coerce_bit_rows(points) -> List[List[int]]:
-    """Bit rows as JSON-able int lists; packed uint64 input is refused."""
-    arr = np.asarray(points)
+def _wire_bits(bits) -> list:
+    """Bits as JSON-able int lists, checked by the server's own rule.
+
+    Packed uint64 input is refused, and so is every value the server
+    refuses (``0.9``, ``"1"``, ``2``): :func:`~repro.service.server.decode_bits`
+    raises its ``ValueError`` here, before anything is sent.
+    """
+    from repro.service.server import decode_bits
+
+    arr = np.asarray(bits)
     if arr.dtype == np.uint64:
         raise ValueError(
             "the wire protocol carries bit vectors, not packed words; "
             "unpack with repro.hamming.packing.unpack_bits first"
         )
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return [[int(b) for b in row] for row in arr]
+    return decode_bits(arr).tolist()
+
+
+def _coerce_bit_rows(points) -> List[List[int]]:
+    """Bit rows as JSON-able int lists (a single row is promoted)."""
+    arr = np.asarray(points)
+    return _wire_bits(arr[None, :] if arr.ndim == 1 else arr)
 
 
 class ServiceClient:
@@ -226,14 +237,8 @@ class ServiceClient:
     # -- verbs -------------------------------------------------------------
     def query(self, bits, timeout: Optional[float] = None) -> RemoteResult:
         """Answer one query given as a length-``d`` 0/1 bit vector."""
-        arr = np.asarray(bits)
-        if arr.dtype == np.uint64:
-            raise ValueError(
-                "the wire protocol carries bit vectors, not packed words; "
-                "unpack with repro.hamming.packing.unpack_bits first"
-            )
         return RemoteResult.from_response(
-            self._request("query", timeout=timeout, bits=[int(b) for b in arr])
+            self._request("query", timeout=timeout, bits=_wire_bits(bits))
         )
 
     def query_batch(self, queries, timeout: Optional[float] = None) -> List[RemoteResult]:

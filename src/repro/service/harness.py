@@ -4,8 +4,8 @@ This is the process-topology half of the fault-injection story
 (``docs/DISTRIBUTED.md``): spawn R replicas of every shard of a saved
 :class:`~repro.service.sharded.ShardedANNIndex` snapshot as real
 ``python -m repro shard-serve`` processes, put a ``repro route`` router
-in front, and expose deterministic fault injection — kill (SIGKILL),
-suspend/resume (SIGSTOP/SIGCONT), restart-from-snapshot — per replica.
+in front, and expose deterministic fault injection — kill (SIGKILL) and
+restart-from-snapshot — per replica.
 Every process handshakes through ``--ready-file``, so startup is
 race-free; stdout/stderr land in per-process log files for post-mortem.
 
@@ -130,18 +130,6 @@ class ManagedProcess:
         if self.proc is not None and self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait()
-
-    def suspend(self) -> None:
-        """SIGSTOP — the replica freezes mid-whatever (gray failure)."""
-        if not self.alive:
-            raise HarnessStateError(f"{self.name} is not running")
-        os.kill(self.proc.pid, signal.SIGSTOP)
-
-    def resume(self) -> None:
-        """SIGCONT a suspended replica."""
-        if self.proc is None or self.proc.poll() is not None:
-            raise HarnessStateError(f"{self.name} is not running")
-        os.kill(self.proc.pid, signal.SIGCONT)
 
     def restart(self, timeout: float = 30.0) -> "ManagedProcess":
         """Kill (if needed) and respawn with the same argv — i.e. reload
@@ -487,12 +475,6 @@ class ClusterHarness:
     def kill_replica(self, shard: int, replica: int) -> None:
         self.replica(shard, replica).kill()
 
-    def suspend_replica(self, shard: int, replica: int) -> None:
-        self.replica(shard, replica).suspend()
-
-    def resume_replica(self, shard: int, replica: int) -> None:
-        self.replica(shard, replica).resume()
-
     def restart_replica(self, shard: int, replica: int, timeout: float = 30.0) -> None:
         """Respawn a replica from its latest checkpoint (its own snapshot
         directory) or, if it never checkpointed, the original snapshot;
@@ -539,22 +521,3 @@ class ClusterHarness:
             f"replica {shard}/{replica} was not revived within {timeout}s "
             f"(router log: {self.router.log_file})"
         )
-
-    def shutdown_via_client(self) -> None:
-        """Graceful shutdown: ask the router, then each replica, to stop."""
-        from repro.service.client import ServiceClient, ServiceError
-
-        try:
-            with self.connect(timeout=5) as client:
-                client.shutdown()
-        except (ServiceError, OSError):
-            pass
-        for group in self.shard_servers:
-            for proc in group:
-                if not proc.alive:
-                    continue
-                try:
-                    with ServiceClient(proc.host, proc.port, timeout=5) as client:
-                        client.shutdown()
-                except (ServiceError, OSError):
-                    pass

@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hamming.distance import popcount_rows, popcount_sum
+from repro.hamming.distance import parity_sketch, popcount_rows
 from repro.hamming.packing import pack_bits, packed_words, tail_mask
 
 __all__ = ["ParitySketch"]
-
-# Bound on the elements of the (row_block × point_block × words) AND buffer
-# used during batched application; ~2^21 uint64 ≈ 16 MB.
-_APPLY_BUFFER_ELEMENTS = 1 << 21
 
 
 class ParitySketch:
@@ -112,8 +108,8 @@ class ParitySketch:
     def apply_many(self, points: np.ndarray) -> np.ndarray:
         """Sketch a packed batch ``(m, W)``; returns packed ``(m, OW)``.
 
-        Work is tiled over both rows and points so the intermediate AND
-        buffer stays within ``_APPLY_BUFFER_ELEMENTS`` words.
+        The parity loop is the active kernel backend's
+        (:func:`repro.hamming.distance.parity_sketch`).
         """
         pts = np.asarray(points, dtype=np.uint64)
         if pts.ndim == 1:
@@ -122,22 +118,7 @@ class ParitySketch:
             raise ValueError(
                 f"point word count {pts.shape[1]} != expected {self.in_words}"
             )
-        m = pts.shape[0]
-        bits = np.empty((m, self.rows), dtype=np.uint8)
-        row_block = max(1, min(self.rows, _APPLY_BUFFER_ELEMENTS // max(1, self.in_words) // max(1, min(m, 1024))))
-        pt_block = max(1, _APPLY_BUFFER_ELEMENTS // max(1, self.in_words) // row_block)
-        for r0 in range(0, self.rows, row_block):
-            r1 = min(self.rows, r0 + row_block)
-            band = self._mask[r0:r1]  # (B, W)
-            for q0 in range(0, m, pt_block):
-                q1 = min(m, q0 + pt_block)
-                # (Q, B, W) AND buffer -> per-(point,row) popcount parity.
-                # Summing uint8 popcounts wraps mod 256, which preserves
-                # the parity bit while moving 8x less memory than int64.
-                anded = pts[q0:q1, None, :] & band[None, :, :]
-                counts = popcount_sum(anded, axis=2, dtype=np.uint8)
-                bits[q0:q1, r0:r1] = counts & np.uint8(1)
-        return pack_bits(bits, self.rows)
+        return parity_sketch(pts, self._mask)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParitySketch(rows={self.rows}, d={self.d}, p={self.p:.4g})"

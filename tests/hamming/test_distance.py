@@ -236,6 +236,26 @@ class TestNearestWithin:
         assert dist.tolist() == [0, 1]
         assert_nearest_matches_oracle(np.stack([row, probe, far]), b, 1)
 
+    def test_two_word_ties_at_the_first_and_last_rows(self, kernel):
+        # Two words is the 104-bit accurate sketch, which cbits searches
+        # with the query held in registers: pin that loop's first-minimum
+        # rule and its bounds at both ends of b.
+        gen = np.random.default_rng(2)
+        b = gen.integers(0, ALL_ONES, size=(9, 2), dtype=np.uint64, endpoint=True)
+        b[-1] = b[0]
+        flipped = b[0].copy()
+        flipped[1] ^= np.uint64(1 << 63)
+        a = np.stack([b[0], flipped, b[-2]])
+        index, dist = nearest_within(a, b, 1)
+        assert index.tolist() == [0, 0, 7]
+        assert dist.tolist() == [0, 1, 0]
+        b[0] = ~b[0]  # now the last row alone is nearest
+        index, dist = nearest_within(a, b, 1)
+        assert index.tolist() == [8, 8, 7]
+        assert dist.tolist() == [0, 1, 0]
+        for limit in (-1, 0, 1, 128):
+            assert_nearest_matches_oracle(a, b, limit)
+
     @pytest.mark.parametrize("w", WIDTHS)
     def test_all_zero_and_all_ones_words(self, kernel, w):
         zeros = np.zeros((1, w), dtype=np.uint64)

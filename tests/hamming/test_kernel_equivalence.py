@@ -3,11 +3,11 @@
 The kernel seam's hard contract (ARCHITECTURE invariant #7): every
 registered :class:`~repro.hamming.kernels.KernelBackend` returns
 **bitwise-identical** results to the NumPy ``reference`` backend for all
-six seam functions, over adversarial shapes — zero-word rows, a single
-word, non-contiguous views, inputs larger than the chunk budget,
-all-ones/all-zeros words — and raises the *same* ``ValueError`` text on
-contract violations (validation lives in the dispatchers, and these
-tests pin that down).
+eight seam functions, over adversarial shapes — zero-word rows, a single
+word, non-contiguous views, read-only masks, inputs larger than the
+chunk budget, all-ones/all-zeros words — and raises the *same*
+``ValueError`` text on contract violations (validation lives in the
+dispatchers, and these tests pin that down).
 
 Parametrization runs over ``KNOWN_KERNELS`` (not just the registered
 ones) so a missing compiled backend shows up as an explicit skip with
@@ -20,6 +20,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,13 +34,16 @@ from repro.hamming.distance import (
     cross_distances,
     hamming_distance,
     hamming_distance_many,
+    nearest_within,
     paired_distances,
     pairwise_distances,
+    parity_sketch,
     popcount_rows,
 )
 from repro.hamming.kernels import (
     KNOWN_KERNELS,
     ScratchPool,
+    _self_check,
     available_kernels,
     get_kernel,
     kernel_info,
@@ -46,6 +51,8 @@ from repro.hamming.kernels import (
     unavailable_kernels,
     use_kernel,
 )
+from repro.hamming._reference import ReferenceBackend
+from repro.hamming.packing import packed_words
 
 SEAM = [
     lambda a, b: popcount_rows(a),
@@ -54,6 +61,8 @@ SEAM = [
     cross_distances,
     lambda a, b: paired_distances(a, a[::-1]),
     lambda a, b: pairwise_distances(a),
+    lambda a, b: np.stack(nearest_within(a, b, 32 * a.shape[1])),
+    parity_sketch,
 ]
 
 words = st.integers(min_value=0, max_value=2**64 - 1)
@@ -156,6 +165,88 @@ def test_differential_random_shapes(kernel, data):
             assert_matches_reference(lambda x, y: hamming_distance(x[0], y[0]), a, b)
 
 
+# -- parity sketch ------------------------------------------------------------
+
+ALL_ONES = 2**64 - 1
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_parity_sketch_matches_reference(kernel, data):
+    rows = data.draw(st.sampled_from([1, 63, 64, 65, 104, 128]), label="rows")
+    d = data.draw(st.sampled_from([1, 63, 64, 65, 128, 129, 1024]), label="d")
+    m = data.draw(st.sampled_from([0, 1, 257]), label="m")
+    layout = data.draw(st.sampled_from(["heap", "read-only", "mmap"]), label="mask")
+    strided = data.draw(st.booleans(), label="strided points")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = packed_words(d)
+    mask = gen.integers(0, ALL_ONES, size=(rows, w), dtype=np.uint64, endpoint=True)
+    mask[data.draw(st.integers(0, rows - 1), label="zero row")] = 0
+    mask[data.draw(st.integers(0, rows - 1), label="ones row")] = ALL_ONES
+    points = gen.integers(0, ALL_ONES, size=(2 * m, 2 * w), dtype=np.uint64, endpoint=True)
+    points = points[::2, ::2] if strided else points[:m, :w]
+    with tempfile.TemporaryDirectory() as tmp:
+        if layout == "read-only":
+            mask.setflags(write=False)
+        elif layout == "mmap":
+            np.save(Path(tmp) / "mask.npy", mask)
+            mask = np.load(Path(tmp) / "mask.npy", mmap_mode="r")
+        got = parity_sketch(points, mask)
+        with use_kernel("reference"):
+            want = parity_sketch(points, mask)
+        del mask  # release the memmap before its directory goes
+    assert got.dtype == want.dtype == np.uint64
+    assert got.shape == want.shape == (m, packed_words(rows))
+    assert np.array_equal(got, want)
+
+
+def test_parity_sketch_refuses_malformed_operands():
+    points = np.zeros((3, 2), dtype=np.uint64)
+    with pytest.raises(ValueError, match="uint64"):
+        parity_sketch(points.astype(np.int64), points)
+    with pytest.raises(ValueError, match="2-D"):
+        parity_sketch(points[0], points)
+    with pytest.raises(ValueError, match="word-count mismatch"):
+        parity_sketch(points, np.zeros((5, 3), dtype=np.uint64))
+
+
+# -- the import-time self-check ---------------------------------------------
+
+
+class LastTieBackend(ReferenceBackend):
+    """Returns the *last* row at minimum distance instead of the first."""
+
+    name = "last-tie"
+
+    def nearest_within(self, a, b, limit):
+        index, dist = super().nearest_within(a, b[::-1], limit)
+        return np.where(index < 0, -1, len(b) - 1 - index), dist
+
+
+class TailBitBackend(ReferenceBackend):
+    """Sets the top bit of a partial last sketch word."""
+
+    name = "tail-bit"
+
+    def parity_sketch(self, points, mask):
+        out = super().parity_sketch(points, mask)
+        if len(mask) % 64:
+            out[:, -1] |= np.uint64(1 << 63)
+        return out
+
+
+@pytest.mark.parametrize("flawed", [LastTieBackend, TailBitBackend])
+def test_self_check_refuses_a_flawed_backend(flawed):
+    with pytest.raises(RuntimeError, match="self-check"):
+        _self_check(flawed())
+    _self_check(ReferenceBackend())  # the unflawed base passes
+
+
 # -- error-contract parity ------------------------------------------------
 
 MISMATCHES = [
@@ -164,6 +255,8 @@ MISMATCHES = [
     (cross_distances, (np.zeros((2, 2), np.uint64), np.zeros((2, 3), np.uint64))),
     (paired_distances, (np.zeros((2, 3), np.uint64), np.zeros((4, 3), np.uint64))),
     (pairwise_distances, (np.zeros((2, 2), np.uint64), np.zeros((2, 5), np.uint64))),
+    (nearest_within, (np.zeros((2, 2), np.uint64), np.zeros((2, 3), np.uint64), 5)),
+    (parity_sketch, (np.zeros((2, 2), np.uint64), np.zeros((2, 3), np.uint64))),
 ]
 
 
@@ -221,6 +314,47 @@ def test_env_var_selects_backend_in_subprocess():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert out.stdout.strip() == "reference"
+
+
+def _import_in_subprocess(code, **env_changes):
+    env = dict(os.environ)
+    for name in ("REPRO_KERNEL", "REPRO_NO_CBITS"):
+        env.pop(name, None)
+    env.update(env_changes)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_default_kernel_is_cbits_when_it_builds():
+    code = (
+        "from repro.hamming import active_kernel, available_kernels\n"
+        "print(active_kernel(), 'cbits' in available_kernels())\n"
+    )
+    active, built = _import_in_subprocess(code)
+    assert active == ("cbits" if built == "True" else "reference")
+    if "cbits" in available_kernels():  # built here, so it builds there too
+        assert active == "cbits"
+
+
+def test_default_kernel_is_reference_without_cbits():
+    code = "from repro.hamming import active_kernel; print(active_kernel())"
+    assert _import_in_subprocess(code, REPRO_NO_CBITS="1") == ["reference"]
+
+
+def test_unknown_env_kernel_warning_names_the_kept_default():
+    code = (
+        "import warnings\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    from repro.hamming import active_kernel\n"
+        "kept = active_kernel()\n"
+        "print(kept, any(f'staying on {kept!r}' in str(w.message) for w in caught))\n"
+    )
+    kept, named = _import_in_subprocess(code, REPRO_KERNEL="bogus")
+    assert named == "True", kept
 
 
 @pytest.mark.slow

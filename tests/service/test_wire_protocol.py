@@ -122,6 +122,34 @@ def test_protocol_errors_are_responses(endpoint):
         assert client.ping()
 
 
+@pytest.mark.parametrize(
+    "send",
+    [
+        pytest.param(lambda c: c.query([0.9] * D), id="fractional-query"),
+        pytest.param(lambda c: c.query(["1", "0"] * (D // 2)), id="string-query"),
+        pytest.param(lambda c: c.query([2] + [0] * (D - 1)), id="two-query"),
+        pytest.param(lambda c: c.query_batch([[0.9] * D]), id="fractional-batch"),
+        pytest.param(lambda c: c.insert([["1", "0"] * (D // 2)]), id="string-insert"),
+    ],
+)
+def test_client_refuses_bits_the_server_refuses(send):
+    # Regression: the client sent int(b) of every value, so [0.9, ...]
+    # went out as the all-zeros row and ["1", ...] as ones.  It now
+    # raises the server's ValueError before writing anything; the peer
+    # here never answers, so a request that did go out would time out.
+    listener = socket.create_server(("127.0.0.1", 0))
+    try:
+        with ServiceClient(*listener.getsockname(), timeout=0.5) as client:
+            peer, _ = listener.accept()
+            with pytest.raises(ValueError, match="bits must be"):
+                send(client)
+        with peer:
+            peer.settimeout(5.0)
+            assert peer.recv(1 << 16) == b""  # closed without a byte sent
+    finally:
+        listener.close()
+
+
 def test_malformed_line_gets_error_response(endpoint):
     host, port = endpoint
     with socket.create_connection((host, port), timeout=5.0) as raw:
