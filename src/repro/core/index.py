@@ -40,8 +40,7 @@ from repro.core.mutable import (
     generation_seed,
 )
 from repro.core.result import QueryResult
-from repro.hamming.packing import pack_bits
-from repro.hamming.points import PackedPoints
+from repro.hamming.points import PackedPoints, coerce_rows
 from repro.registry import build_scheme
 from repro.service.engine import (
     BatchQueryEngine,
@@ -166,32 +165,6 @@ class ANNIndex:
         return self
 
     # -- mutation ----------------------------------------------------------
-    def _coerce_rows(self, points) -> np.ndarray:
-        """Packed ``(m, W)`` rows from bits/(packed) points of any shape."""
-        if isinstance(points, PackedPoints):
-            if points.d != self.database.d:
-                raise ValueError(
-                    f"points have d={points.d}, index has d={self.database.d}"
-                )
-            return points.words
-        arr = np.asarray(points)
-        if arr.dtype == np.uint64:
-            if arr.ndim == 1:
-                arr = arr[None, :]
-            if arr.ndim != 2 or arr.shape[1] != self.database.word_count:
-                raise ValueError(
-                    f"packed rows need shape (m, {self.database.word_count}), "
-                    f"got {arr.shape}"
-                )
-            return arr
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.database.d:
-            raise ValueError(
-                f"bit rows need shape (m, {self.database.d}), got {arr.shape}"
-            )
-        return pack_bits(arr.astype(np.uint8), self.database.d)
-
     def insert(self, points) -> List[int]:
         """Insert points (bit rows, packed rows, or :class:`PackedPoints`).
 
@@ -202,7 +175,7 @@ class ANNIndex:
         compaction, the returned ids are the *post-compaction* ids (ids
         are positional and remap when the survivors are renumbered).
         """
-        rows = self._coerce_rows(points)
+        rows = coerce_rows(points, self.database.d)
         if rows.shape[0] == 0:
             return []
         ids = self.mutation.insert_rows(rows)
@@ -325,10 +298,10 @@ class ANNIndex:
 
     def query(self, x: Union[np.ndarray, list]) -> QueryResult:
         """Answer one query given as a length-d bit vector or packed row."""
-        arr = np.asarray(x)
-        if arr.dtype != np.uint64:
-            arr = pack_bits(arr.astype(np.uint8), self.database.d)
-        return self._merge_mutations(arr[None, :], [self.scheme.query(arr)])[0]
+        rows = coerce_rows(x, self.database.d)
+        if rows.shape[0] != 1:
+            raise ValueError(f"query needs one row, got {rows.shape[0]}")
+        return self._merge_mutations(rows, [self.scheme.query(rows[0])])[0]
 
     def query_packed(self, x: np.ndarray) -> QueryResult:
         """Answer one query given as a packed uint64 row."""
@@ -358,16 +331,7 @@ class ANNIndex:
         ``prefetch=False`` disables cross-query cell prefetching (the
         engine then only batches sketch addresses); mainly for tests.
         """
-        arr = np.asarray(queries)
-        if arr.size == 0:
-            # An empty batch answers to nothing, like the sequential loop.
-            arr = np.empty((0, self.database.word_count), dtype=np.uint64)
-        elif arr.dtype != np.uint64:
-            if arr.ndim == 1:
-                arr = arr[None, :]
-            arr = pack_bits(arr.astype(np.uint8), self.database.d)
-        elif arr.ndim == 1:
-            arr = arr[None, :]
+        arr = coerce_rows(queries, self.database.d)
         engine = self._engine(bool(prefetch))
         results = engine.run(arr)
         stats = engine.last_stats

@@ -1012,10 +1012,10 @@ class KernelSeamChecker(Checker):
 
     # The seam's home: backends and dispatchers may use the primitives.
     EXEMPT_PREFIX = "hamming/"
-    # Seam popcount helpers: calling them is legal, but XOR-ing packed
-    # arrays *into* them re-implements a distance outside the backends —
+    # The seam popcount helper: calling it is legal, but XOR-ing packed
+    # arrays *into* it re-implements a distance outside the backends —
     # hamming_distance/_many/cross_distances/paired_distances exist for that.
-    SEAM_POPCOUNT_FNS = frozenset({"popcount_rows", "popcount_sum"})
+    SEAM_POPCOUNT_FNS = frozenset({"popcount_rows"})
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         out: List[Finding] = []
@@ -1034,8 +1034,8 @@ class KernelSeamChecker(Checker):
                     out.append(
                         self.finding(
                             "direct np.bitwise_count outside repro/hamming/: "
-                            "call the kernel seam (popcount_rows/popcount_sum "
-                            "or a distance function) so the active backend, "
+                            "call the kernel seam (popcount_rows or a "
+                            "distance function) so the active backend, "
                             "scratch pooling, and the equivalence gate apply",
                             mod.rel,
                             node,

@@ -19,7 +19,6 @@ from repro.hamming.distance import (
     paired_distances,
     pairwise_distances,
     popcount_rows,
-    popcount_sum,
 )
 from repro.hamming.kernels import (
     KernelBackend,
@@ -65,7 +64,6 @@ __all__ = [
     "pairwise_distances",
     "point_at_distance",
     "popcount_rows",
-    "popcount_sum",
     "random_packed",
     "random_points",
     "set_kernel",

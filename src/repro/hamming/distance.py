@@ -8,9 +8,7 @@ hands real work to the active :class:`~repro.hamming.kernels.KernelBackend`
 (``reference`` = NumPy ``np.bitwise_count``; see
 :mod:`repro.hamming.kernels` for ``set_kernel``/``REPRO_KERNEL``).
 Validation living here — not in backends — is what makes the error
-contract identical under every backend by construction.  One function
-never dispatches and runs in NumPy under every backend:
-``popcount_sum``.
+contract identical under every backend by construction.
 
 Every backend chunks its work so peak memory stays bounded even for
 one-vs-a-million queries; ``_CHUNK_WORD_BUDGET`` below remains the knob.
@@ -40,7 +38,6 @@ __all__ = [
     "pairwise_distances",
     "parity_sketch",
     "popcount_rows",
-    "popcount_sum",
 ]
 
 
@@ -58,19 +55,6 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
     if m == 0 or w == 0:
         return np.zeros(m, dtype=np.int64)
     return kernels.active_backend().popcount_rows(arr)
-
-
-def popcount_sum(words: np.ndarray, axis=-1, dtype=np.int64) -> np.ndarray:
-    """Popcount reduced along ``axis`` with an explicit accumulator dtype.
-
-    The escape hatch for *non-distance* bit counting outside the seam
-    (e.g. a parity sum that accumulates mod 256 in uint8).  Always
-    computed in NumPy — no backend method covers it — but living here
-    keeps every popcount behind ``repro/hamming/`` (rule R007).
-    """
-    return np.bitwise_count(np.asarray(words, dtype=np.uint64)).sum(
-        axis=axis, dtype=dtype
-    )
 
 
 def hamming_distance(x: np.ndarray, y: np.ndarray) -> int:

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "PackedArrayError",
+    "check_bits",
     "pack_bits",
     "packed_words",
     "random_packed",
@@ -41,11 +42,26 @@ def tail_mask(d: int) -> int:
     return (1 << rem) - 1
 
 
+def check_bits(bits) -> np.ndarray:
+    """A bit array as ``uint8``, once every value is a boolean or an
+    integer equal to 0 or 1.  The check runs before any cast: a cast
+    would turn ``0.9`` and ``256`` into 0, a different row."""
+    arr = np.asarray(bits)
+    if arr.size and arr.dtype != np.bool_:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise PackedArrayError(f"bits must be integers 0 or 1, got {arr.dtype} values")
+        if arr.max() > 1 or arr.min() < 0:
+            bad = arr[(arr < 0) | (arr > 1)]
+            raise PackedArrayError(f"bits must be 0 or 1, got {int(bad[0])}")
+    return arr.astype(np.uint8, copy=False)
+
+
 def pack_bits(bits: np.ndarray, d: int | None = None) -> np.ndarray:
     """Pack a boolean/0-1 array of shape ``(m, d)`` or ``(d,)`` into uint64.
 
     Returns shape ``(m, W)`` (or ``(W,)`` for a single point) with padding
-    bits in the last word forced to zero.
+    bits in the last word forced to zero.  Values go through
+    :func:`check_bits`.
 
     Examples
     --------
@@ -63,13 +79,12 @@ def pack_bits(bits: np.ndarray, d: int | None = None) -> np.ndarray:
     if d is None:
         d = dim
     elif d != dim:
-        raise PackedArrayError(f"bit array has {dim} columns but d={d}")
+        raise PackedArrayError(
+            f"bit rows need {d} bits for dimension d={d}, got shape {arr.shape}"
+        )
     if dim == 0:
         raise PackedArrayError("cannot pack an empty bit array")
-    if arr.dtype != np.uint8:
-        arr = arr.astype(np.uint8)
-    if arr.max(initial=0) > 1:
-        raise PackedArrayError("bit array contains values other than 0/1")
+    arr = check_bits(arr)
     w = packed_words(d)
     # np.packbits packs MSB-first per byte; request little-bit-order so bit
     # j of the input lands at bit j%8 of byte j//8, matching our layout.
@@ -119,7 +134,8 @@ def validate_packed(packed: np.ndarray, d: int) -> np.ndarray:
         raise PackedArrayError(f"expected 1-D or 2-D packed array, got ndim={arr.ndim}")
     if arr.shape[1] != packed_words(d):
         raise PackedArrayError(
-            f"packed array has {arr.shape[1]} words; d={d} needs {packed_words(d)}"
+            f"packed rows need {packed_words(d)} words for dimension d={d}, "
+            f"got shape {arr.shape}"
         )
     if arr.shape[0] and int(arr[:, -1].max(initial=0)) > tail_mask(d):
         raise PackedArrayError("padding bits beyond dimension d are set")

@@ -3,6 +3,9 @@
 This is the database type consumed by every scheme.  It pins together the
 packed word matrix and the logical dimension ``d`` so downstream code never
 has to thread ``d`` separately (and cannot mix dimensions by accident).
+
+:func:`coerce_rows` is the one shaper of query and insert rows, for every
+entry point from the index facades to the router.
 """
 
 from __future__ import annotations
@@ -12,9 +15,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.hamming.distance import hamming_distance_many
-from repro.hamming.packing import pack_bits, packed_words, unpack_bits, validate_packed
+from repro.hamming.packing import (
+    PackedArrayError,
+    pack_bits,
+    packed_words,
+    unpack_bits,
+    validate_packed,
+)
 
-__all__ = ["PackedPoints"]
+__all__ = ["PackedPoints", "coerce_rows"]
 
 
 class PackedPoints:
@@ -133,3 +142,25 @@ class PackedPoints:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedPoints(n={len(self)}, d={self._d})"
+
+
+def coerce_rows(points, d: int) -> np.ndarray:
+    """Packed ``(m, W)`` uint64 rows of dimension ``d`` from any accepted form.
+
+    :class:`PackedPoints`; packed rows, a ``uint64`` ndarray of shape
+    ``(m, W)`` or ``(W,)`` with no padding bits set; or bit rows of shape
+    ``(m, d)`` or ``(d,)``, checked by :func:`~repro.hamming.packing.check_bits`.
+    A list is always bits, so a JSON row of large integers never passes as
+    packed words.  No rows give ``(0, W)``.  Raises ``PackedArrayError``.
+    """
+    if isinstance(points, PackedPoints):
+        if points.d != d:
+            raise PackedArrayError(f"points have d={points.d}, index has d={d}")
+        return points.words
+    packed = isinstance(points, np.ndarray) and points.dtype == np.uint64
+    arr = np.asarray(points)
+    if arr.shape[:1] == (0,):
+        return np.empty((0, packed_words(d)), dtype=np.uint64)
+    if packed:
+        return validate_packed(arr, d)
+    return pack_bits(arr[None, :] if arr.ndim == 1 else arr, d)

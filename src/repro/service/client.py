@@ -41,6 +41,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.hamming.packing import check_bits
+
 __all__ = [
     "RemoteResult",
     "ServiceClient",
@@ -105,24 +107,16 @@ def _wire_bits(bits) -> list:
     """Bits as JSON-able int lists, checked by the server's own rule.
 
     Packed uint64 input is refused, and so is every value the server
-    refuses (``0.9``, ``"1"``, ``2``): :func:`~repro.service.server.decode_bits`
+    refuses (``0.9``, ``"1"``, ``2``): :func:`~repro.hamming.packing.check_bits`
     raises its ``ValueError`` here, before anything is sent.
     """
-    from repro.service.server import decode_bits
-
     arr = np.asarray(bits)
     if arr.dtype == np.uint64:
         raise ValueError(
             "the wire protocol carries bit vectors, not packed words; "
             "unpack with repro.hamming.packing.unpack_bits first"
         )
-    return decode_bits(arr).tolist()
-
-
-def _coerce_bit_rows(points) -> List[List[int]]:
-    """Bit rows as JSON-able int lists (a single row is promoted)."""
-    arr = np.asarray(points)
-    return _wire_bits(arr[None, :] if arr.ndim == 1 else arr)
+    return check_bits(arr).tolist()
 
 
 class ServiceClient:
@@ -247,7 +241,7 @@ class ServiceClient:
         The server micro-batches the whole list together; results come
         back in input order, each bitwise-identical to a lone ``query``.
         """
-        rows = _coerce_bit_rows(queries)
+        rows = _wire_bits(np.atleast_2d(queries))
         response = self._request("query_batch", timeout=timeout, queries=rows)
         return [RemoteResult.from_response(r) for r in response["results"]]
 
@@ -259,7 +253,7 @@ class ServiceClient:
         complete against the old state, later ones see the new points.
         """
         response = self._request(
-            "insert", timeout=timeout, points=_coerce_bit_rows(points)
+            "insert", timeout=timeout, points=_wire_bits(np.atleast_2d(points))
         )
         return [int(i) for i in response["ids"]]
 

@@ -12,7 +12,9 @@ replica of the owning shard through a deterministic per-shard
 to any other, and the whole cluster answers bitwise-identically to a
 single-process ``ShardedANNIndex`` given the same seed and write
 history (the chaos harness in ``tests/utils/cluster_harness.py`` pins
-exactly that, under replica kills).
+exactly that, under replica kills).  The id partition, insert routing
+and answer merge are the :mod:`repro.service.sharded` functions that
+``ShardedANNIndex`` calls, applied to the router's mirror of each shard.
 
 Consistency model (``docs/DISTRIBUTED.md`` for the full matrix):
 
@@ -40,6 +42,7 @@ verb.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import time
 from contextlib import asynccontextmanager
@@ -48,16 +51,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.mutable import coerce_delete_ids
 from repro.hamming.kernels import active_kernel
+from repro.hamming.packing import unpack_bits
+from repro.hamming.points import coerce_rows
 from repro.service.replica import (
     AsyncReplicaClient,
     ReplicaRequestError,
     ReplicaUnavailableError,
 )
-from repro.service.server import (
-    WIRE_LINE_LIMIT,
-    _connection_loop,
-    _jsonable,
-    decode_bits,
+from repro.service.server import WIRE_LINE_LIMIT, _connection_loop, _jsonable
+from repro.service.sharded import (
+    locate,
+    merge_shard_answers,
+    route_inserts,
+    shard_label,
+    shard_offsets,
 )
 from repro.service.wal import WriteAheadLog
 
@@ -298,23 +305,14 @@ class ShardRouter:
     @property
     def scheme_label(self) -> str:
         """Same label single-process merged results carry."""
-        return f"sharded({self._inner_scheme}×{self.num_shards})"
+        return shard_label(self._inner_scheme, self.num_shards)
 
-    def _offsets(self) -> List[int]:
-        """Each shard's first global id — the running sum of the
-        mirrored id spaces, exactly like ``ShardedANNIndex.offsets``."""
-        out: List[int] = []
-        total = 0
-        for mirror in self._mirror:
-            out.append(total)
-            total += mirror.id_space
-        return out
+    def _id_spaces(self) -> List[int]:
+        return [m.id_space for m in self._mirror]
 
-    def _id_space(self) -> int:
-        return sum(m.id_space for m in self._mirror)
-
-    def _live_total(self) -> int:
-        return sum(m.live for m in self._mirror)
+    def _totals(self) -> dict:
+        """The cluster's live rows and allocated id space (from the mirror)."""
+        return {"live": sum(m.live for m in self._mirror), "id_space": sum(self._id_spaces())}
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "ShardRouter":
@@ -619,72 +617,46 @@ class ShardRouter:
         return ack
 
     # -- queries -----------------------------------------------------------
-    @staticmethod
-    def _merge_one(
-        responses: Sequence[dict], offsets: Sequence[int], inner: str, label: str
-    ) -> dict:
-        """Merge one query's per-shard responses, bitwise-identically to
-        ``ShardedANNIndex.query_batch``: probes fold round-by-round
-        (parallel shards), best ``(true distance, global id)`` wins."""
-        probes_per_round: List[int] = []
-        best: Optional[Tuple[int, int, int, dict]] = None
-        answered = 0
+    def _merged_response(self, responses: Sequence[dict], offsets: Sequence[int]) -> dict:
+        """One query's per-shard wire responses as one response: probes
+        fold round by round (parallel shards), and the shard answers go
+        through :func:`~repro.service.sharded.merge_shard_answers`."""
+        answers = []
         for si, response in enumerate(responses):
-            for i, p in enumerate(response.get("probes_per_round", [])):
-                if i >= len(probes_per_round):
-                    probes_per_round.extend([0] * (i + 1 - len(probes_per_round)))
-                probes_per_round[i] += int(p)
             if response.get("answer_index") is None:
+                answers.append(None)
                 continue
-            answered += 1
-            distance = response.get("distance")
-            if distance is None:
+            if response.get("distance") is None:
                 raise ClusterError(
                     f"shard {si} answered without a distance field; "
                     "its server predates distributed serving"
                 )
-            global_id = offsets[si] + int(response["answer_index"])
-            if best is None or (int(distance), global_id) < (best[0], best[1]):
-                best = (int(distance), global_id, si, response)
-        meta: Dict[str, object] = {
-            "shards": len(responses),
-            "shards_answered": answered,
-            "inner": inner,
-        }
-        if best is not None:
-            meta.update(
-                {
-                    "shard": best[2],
-                    "distance": best[0],
-                    "winner_meta": dict(best[3].get("meta", {})),
-                }
+            answers.append((response["distance"], response["answer_index"], response.get("meta", {})))
+        probes_per_round = [
+            sum(int(p) for p in column)
+            for column in itertools.zip_longest(
+                *(response.get("probes_per_round", []) for response in responses),
+                fillvalue=0,
             )
+        ]
+        si, global_id, meta = merge_shard_answers(answers, offsets, self._inner_scheme)
         return {
             "ok": True,
-            "answered": best is not None,
-            "answer_index": None if best is None else best[1],
+            "answered": si is not None,
+            "answer_index": global_id,
             "probes": sum(probes_per_round),
             "rounds": sum(1 for p in probes_per_round if p > 0),
             "probes_per_round": probes_per_round,
-            "scheme": label,
-            "distance": None if best is None else best[0],
+            "scheme": self.scheme_label,
+            "distance": None if si is None else meta["distance"],
             "meta": meta,
         }
 
-    def _check_query(self, bits) -> None:
-        if not isinstance(bits, list) or not bits:
-            raise ValueError("'query' needs a 'bits' array of 0/1 values")
-        shape = decode_bits(bits).shape
-        if shape != (self.d,):
-            raise ValueError(
-                f"query has shape {shape}, index dimension is {self.d}"
-            )
-
     async def query(self, bits) -> dict:
         """One query through every shard; best true distance wins."""
-        self._check_query(bits)
+        coerce_rows([bits], self.d)  # refuse before the fan-out
         async with self._lock.read_locked():
-            offsets = self._offsets()
+            offsets = shard_offsets(self._id_spaces())
             responses = await asyncio.gather(
                 *(
                     self._shard_read(si, "query", {"bits": bits})
@@ -692,9 +664,7 @@ class ShardRouter:
                 )
             )
             self._counters["queries"] += 1
-            return self._merge_one(
-                responses, offsets, self._inner_scheme, self.scheme_label
-            )
+            return self._merged_response(responses, offsets)
 
     async def query_batch(self, queries) -> List[dict]:
         """A whole batch through every shard's batched path, then merge."""
@@ -702,10 +672,9 @@ class ShardRouter:
             raise ValueError(
                 "'query_batch' needs a non-empty 'queries' list of bit rows"
             )
-        for bits in queries:
-            self._check_query(bits)
+        count = coerce_rows(queries, self.d).shape[0]
         async with self._lock.read_locked():
-            offsets = self._offsets()
+            offsets = shard_offsets(self._id_spaces())
             per_shard = await asyncio.gather(
                 *(
                     self._shard_read(si, "query_batch", {"queries": queries})
@@ -713,118 +682,84 @@ class ShardRouter:
                 )
             )
             self._counters["query_batches"] += 1
-            self._counters["batched_queries"] += len(queries)
+            self._counters["batched_queries"] += count
             return [
-                self._merge_one(
-                    [per_shard[si]["results"][qi] for si in range(self.num_shards)],
-                    offsets,
-                    self._inner_scheme,
-                    self.scheme_label,
+                self._merged_response(
+                    [response["results"][qi] for response in per_shard], offsets
                 )
-                for qi in range(len(queries))
+                for qi in range(count)
             ]
 
     # -- writes ------------------------------------------------------------
+    def _write_response(self, **fields) -> dict:
+        return {"ok": True, **fields, **self._totals()}
+
+    async def _write_shards(self, op: str, payloads: Dict[int, dict]) -> Dict[int, dict]:
+        """Log one write per shard, send each to the shard's live replicas,
+        and return every shard's ack; the mirror follows each ack.  All
+        entries are logged before any is sent, and the first failure is
+        raised once every write has settled."""
+        seqs = {si: self._append_log(si, op, payload) for si, payload in payloads.items()}
+        results = await asyncio.gather(
+            *(
+                self._replicated_write(si, op, payload, seqs[si])
+                for si, payload in payloads.items()
+            ),
+            return_exceptions=True,
+        )
+        for si, result in zip(payloads, results):
+            if not isinstance(result, Exception):
+                self._mirror[si] = _Mirror(int(result["live"]), int(result["id_space"]))
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        return dict(zip(payloads, results))
+
     async def insert(self, points) -> dict:
-        """Insert bit rows; greedy per-point routing to the emptiest shard.
-
-        Routing replicates ``ShardedANNIndex.insert`` against the
-        mirror: each point goes to the shard with the fewest live rows
-        at that moment (ties → smallest shard index), and returned
-        global ids are computed against the post-insert offsets.
-        """
-        arr = decode_bits(points)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.d:
-            raise ValueError(
-                f"bit rows need shape (m, {self.d}), got {tuple(arr.shape)}"
-            )
+        """Insert bit rows, routed by
+        :func:`~repro.service.sharded.route_inserts` against the mirror's
+        live counts; returned global ids are computed against the
+        post-insert offsets."""
+        rows = coerce_rows(points, self.d)
         async with self._lock.write_locked():
-            if arr.shape[0] == 0:
-                return {
-                    "ok": True,
-                    "ids": [],
-                    "live": self._live_total(),
-                    "id_space": self._id_space(),
-                }
-            live = [mirror.live for mirror in self._mirror]
-            routed: List[List[list]] = [[] for _ in range(self.num_shards)]
-            routing: List[Tuple[int, int]] = []
-            for i in range(arr.shape[0]):
-                si = min(range(self.num_shards), key=lambda s: (live[s], s))
-                routing.append((si, len(routed[si])))
-                routed[si].append([int(b) for b in arr[i]])
-                live[si] += 1
-            pending = [
-                (si, self._append_log(si, "insert", {"points": batch}), batch)
-                for si, batch in enumerate(routed)
-                if batch
-            ]
-            results = await asyncio.gather(
-                *(
-                    self._replicated_write(si, "insert", {"points": batch}, seq)
-                    for si, seq, batch in pending
-                ),
-                return_exceptions=True,
+            if rows.shape[0] == 0:
+                return self._write_response(ids=[])
+            routing = route_inserts(
+                [mirror.live for mirror in self._mirror], rows.shape[0]
             )
-            acks: Dict[int, dict] = {}
-            failure: Optional[Exception] = None
-            for (si, _, _), result in zip(pending, results):
-                if isinstance(result, Exception):
-                    failure = failure or result
-                else:
-                    acks[si] = result
-                    self._mirror[si] = _Mirror(
-                        live=int(result["live"]), id_space=int(result["id_space"])
-                    )
-            if failure is not None:
-                raise failure
-            offsets = self._offsets()
+            routed: List[List[list]] = [[] for _ in range(self.num_shards)]
+            for (si, _), bits in zip(routing, unpack_bits(rows, self.d).tolist()):
+                routed[si].append(bits)
+            acks = await self._write_shards(
+                "insert",
+                {si: {"points": batch} for si, batch in enumerate(routed) if batch},
+            )
+            offsets = shard_offsets(self._id_spaces())
             self._counters["inserts"] += 1
-            return {
-                "ok": True,
-                "ids": [
-                    offsets[si] + int(acks[si]["ids"][pos]) for si, pos in routing
-                ],
-                "live": self._live_total(),
-                "id_space": self._id_space(),
-            }
-
-    def _locate(self, gid: int, offsets: List[int]) -> Tuple[int, int]:
-        """Global id → (shard, local id), mirroring
-        ``ShardedANNIndex._locate`` (same errors included)."""
-        for si in range(self.num_shards - 1, -1, -1):
-            if offsets[si] <= gid:
-                local = gid - offsets[si]
-                if local >= self._mirror[si].id_space:
-                    break
-                return si, local
-        raise ValueError(f"id {gid} out of range [0, {self._id_space()})")
+            return self._write_response(
+                ids=[offsets[si] + int(acks[si]["ids"][pos]) for si, pos in routing]
+            )
 
     async def delete(self, ids) -> dict:
         """Delete by global id, pre-validated across every shard.
 
-        Validation replicates ``ShardedANNIndex.delete``: all ids are
-        located through the current offsets and checked live (via the
-        ``check_ids`` verb on a live replica) *before* anything is
-        logged, so a bad id leaves the whole cluster unchanged.
+        As in ``ShardedANNIndex.delete``, all ids are located through
+        the current offsets (:func:`~repro.service.sharded.locate`) and
+        checked live (via the ``check_ids`` verb on a live replica)
+        *before* anything is logged, so a bad id leaves the whole
+        cluster unchanged.
         """
         id_arr = coerce_delete_ids(ids)
         async with self._lock.write_locked():
             if id_arr.size == 0:
-                return {
-                    "ok": True,
-                    "deleted": 0,
-                    "live": self._live_total(),
-                    "id_space": self._id_space(),
-                }
-            offsets = self._offsets()
+                return self._write_response(deleted=0)
+            id_spaces = self._id_spaces()
+            offsets = shard_offsets(id_spaces)
             per_shard: List[List[Tuple[int, int]]] = [
                 [] for _ in range(self.num_shards)
             ]
             for gid in id_arr:
-                si, local = self._locate(int(gid), offsets)
+                si, local = locate(gid, offsets, id_spaces)
                 per_shard[si].append((int(gid), local))
             for si, pairs in enumerate(per_shard):
                 if not pairs:
@@ -835,41 +770,16 @@ class ShardRouter:
                 for (gid, _), is_live in zip(pairs, check["live"]):
                     if not is_live:
                         raise ValueError(f"id {gid} is already deleted")
-            pending = [
-                (
-                    si,
-                    self._append_log(
-                        si, "delete", {"ids": [local for _, local in pairs]}
-                    ),
-                    [local for _, local in pairs],
-                )
-                for si, pairs in enumerate(per_shard)
-                if pairs
-            ]
-            results = await asyncio.gather(
-                *(
-                    self._replicated_write(si, "delete", {"ids": locals_}, seq)
-                    for si, seq, locals_ in pending
-                ),
-                return_exceptions=True,
+            await self._write_shards(
+                "delete",
+                {
+                    si: {"ids": [local for _, local in pairs]}
+                    for si, pairs in enumerate(per_shard)
+                    if pairs
+                },
             )
-            failure: Optional[Exception] = None
-            for (si, _, _), result in zip(pending, results):
-                if isinstance(result, Exception):
-                    failure = failure or result
-                else:
-                    self._mirror[si] = _Mirror(
-                        live=int(result["live"]), id_space=int(result["id_space"])
-                    )
-            if failure is not None:
-                raise failure
             self._counters["deletes"] += 1
-            return {
-                "ok": True,
-                "deleted": int(id_arr.size),
-                "live": self._live_total(),
-                "id_space": self._id_space(),
-            }
+            return self._write_response(deleted=int(id_arr.size))
 
     # -- checkpointing -----------------------------------------------------
     async def snapshot(self) -> dict:
@@ -1013,14 +923,15 @@ class ShardRouter:
                     generations.append(shard_gens[0])
                 except ClusterError:
                     generations.append(None)
+            totals = self._totals()
             return {
                 "index": {
-                    "n": self._live_total(),
+                    "n": totals["live"],
                     "d": self.d,
                     "scheme": self.scheme_label,
                     "shards": self.num_shards,
                     "generations": generations,
-                    "id_space": self._id_space(),
+                    "id_space": totals["id_space"],
                     "spec": None,
                     "kernel": active_kernel(),
                 },

@@ -30,7 +30,7 @@ unmodified per-query sessions, results are identical to running
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mutable import MutationState
     from repro.core.result import QueryResult
 
-__all__ = ["BatchQueryEngine", "BatchStats", "merge_mutation_candidates"]
+__all__ = [
+    "BatchQueryEngine",
+    "BatchStats",
+    "merge_mutation_candidates",
+    "nearest_candidate",
+]
+
+
+def nearest_candidate(candidates: Iterable[Optional[Tuple]]) -> Optional[Tuple]:
+    """The candidate with the smallest ``(true distance, global id)``.
+
+    Candidates are tuples led by those two fields (later fields ride
+    along); ``None`` entries are skipped.  The one pick of the mutation
+    merge and of the shard merge, in process and at the router.
+    """
+    best = None
+    for candidate in candidates:
+        if candidate is not None and (best is None or candidate[:2] < best[:2]):
+            best = candidate
+    return best
 
 
 def merge_mutation_candidates(
@@ -83,30 +102,27 @@ def merge_mutation_candidates(
         suppressed = res.answer_index is not None and bool(
             state.tombstones[res.answer_index]
         )
-        best = None  # (distance, global id, packed row)
-        source = None
+        static = memtable = None  # (distance, global id, packed row, source)
         if res.answer_index is not None and not suppressed:
-            best = (
+            static = (
                 hamming_distance(queries[qi], res.answer_packed),
                 int(res.answer_index),
                 res.answer_packed,
+                "static",
             )
-            source = "static"
         if mem_count:
             scan = ProbeAccountant()
             scan.charge_round(scan.begin_round(), list(mem_probes))
             accountant.merge_parallel(scan)
             j = int(np.argmin(dists[qi]))  # first min == smallest id
-            candidate = (int(dists[qi][j]), mem_ids[j], mem_words[j])
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-                source = "memtable"
+            memtable = (int(dists[qi][j]), mem_ids[j], mem_words[j], "memtable")
+        best = nearest_candidate((static, memtable))
         meta = dict(res.meta)
         meta["mutable"] = {
             "generation": state.generation,
             "memtable_scanned": mem_count,
             "static_tombstoned": suppressed,
-            "source": source,
+            "source": None if best is None else best[3],
         }
         merged.append(
             QueryResult(

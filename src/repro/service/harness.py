@@ -19,8 +19,6 @@ this module is intentionally test-framework-free so benchmarks
 from __future__ import annotations
 
 import os
-import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -47,14 +45,6 @@ class HarnessStateError(RuntimeError):
     :class:`RuntimeError` so untyped callers keep working."""
 
 
-def free_port() -> int:
-    """An OS-assigned free TCP port (released immediately; small race
-    window is acceptable for test harnesses)."""
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 def _repro_env() -> dict:
     """Child env with this interpreter's ``repro`` importable."""
     import repro
@@ -67,7 +57,7 @@ def _repro_env() -> dict:
 
 
 class ManagedProcess:
-    """One spawnable/killable/suspendable server process."""
+    """One spawnable/killable server process."""
 
     def __init__(self, name: str, argv: List[str], ready_file: Path, log_file: Path):
         self.name = name
@@ -142,10 +132,6 @@ class ManagedProcess:
         if self.proc is None:
             return
         if self.proc.poll() is None:
-            try:
-                os.kill(self.proc.pid, signal.SIGCONT)  # in case it's suspended
-            except (OSError, ProcessLookupError):
-                pass
             self.proc.terminate()
             try:
                 self.proc.wait(timeout=5)
@@ -205,10 +191,6 @@ class ShardFleet:
         return len(self.shard_dirs)
 
     def _build(self) -> None:
-        ports = [
-            [free_port() for _ in range(self.replicas)]
-            for _ in range(self.num_shards)
-        ]
         self.processes = []
         for si, shard_dir in enumerate(self.shard_dirs):
             group = []
@@ -225,8 +207,9 @@ class ShardFleet:
                     str(si),
                     "--host",
                     "127.0.0.1",
+                    # start() pins the port bound here for respawns.
                     "--port",
-                    str(ports[si][ri]),
+                    "0",
                     "--max-batch",
                     str(self.max_batch),
                     "--max-wait-ms",
@@ -266,14 +249,13 @@ class ShardFleet:
         for group in self.processes:
             for proc in group:
                 proc.spawn(timeout=timeout)
+                proc.argv[proc.argv.index("--port") + 1] = str(proc.port)
         return [[(p.host, p.port) for p in group] for group in self.processes]
 
     def check_respawn(self, timeout: float = 30.0) -> int:
         """Respawn every dead replica (same argv: same snapshot, same
-        port).  Returns how many came back this sweep.  Suspended
-        (SIGSTOPped) processes still count as running and are left
-        alone; a respawn that itself fails is skipped this sweep and
-        retried on the next one."""
+        port).  Returns how many came back this sweep; a respawn that
+        itself fails is skipped this sweep and retried on the next one."""
         if self._stopping:
             return 0
         respawned = 0

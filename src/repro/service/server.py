@@ -52,15 +52,16 @@ from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.core.mutable import coerce_delete_ids
+from repro.hamming.distance import hamming_distance
 from repro.hamming.kernels import active_kernel
-from repro.hamming.packing import pack_bits, packed_words
+from repro.hamming.points import coerce_rows
 
 __all__ = [
     "AsyncANNService",
     "ServiceMetrics",
     "ServiceStateError",
     "WriteSequencer",
-    "decode_bits",
     "describe_index",
     "serve",
 ]
@@ -250,7 +251,6 @@ class AsyncANNService:
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.prefetch = bool(prefetch)
-        self._word_count = packed_words(index.d)
         self._queue: Deque[_PendingQuery] = deque()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake: Optional[asyncio.Event] = None
@@ -312,9 +312,13 @@ class AsyncANNService:
         request never poisons a batch.
         """
         self._check_accepting()
-        row = self._pack_query(x)
+        rows = coerce_rows(x, self.index.d)
+        if np.ndim(x) != 1 or rows.shape[0] != 1:
+            raise ValueError(
+                f"service queries are one at a time; got shape {np.shape(x)}"
+            )
         future = self._loop.create_future()
-        self._queue.append(_PendingQuery(row, future, self._loop.time()))
+        self._queue.append(_PendingQuery(rows[0], future, self._loop.time()))
         self._wake.set()
         return await future
 
@@ -329,7 +333,7 @@ class AsyncANNService:
         here, before enqueueing.
         """
         self._check_accepting()
-        rows = self.index._coerce_rows(points)
+        rows = coerce_rows(points, self.index.d)
         future = self._loop.create_future()
         self._queue.append(_PendingWrite("insert", rows, future, self._loop.time()))
         self._wake.set()
@@ -353,8 +357,6 @@ class AsyncANNService:
         as :meth:`submit_insert`).
         """
         self._check_accepting()
-        from repro.core.mutable import coerce_delete_ids
-
         id_list = [int(i) for i in coerce_delete_ids(ids)]
         future = self._loop.create_future()
         self._queue.append(_PendingWrite("delete", id_list, future, self._loop.time()))
@@ -393,25 +395,6 @@ class AsyncANNService:
     async def barrier(self, fn):
         """Run ``fn`` between micro-batches; resolves with its result."""
         return await self.submit_call(fn)
-
-    def _pack_query(self, x) -> np.ndarray:
-        arr = np.asarray(x)
-        if arr.ndim != 1:
-            raise ValueError(
-                f"service queries are one at a time; got shape {arr.shape}"
-            )
-        if arr.dtype == np.uint64:
-            if arr.shape[0] != self._word_count:
-                raise ValueError(
-                    f"packed query has {arr.shape[0]} words, index needs "
-                    f"{self._word_count}"
-                )
-            return arr
-        if arr.shape[0] != self.index.d:
-            raise ValueError(
-                f"query has {arr.shape[0]} bits, index dimension is {self.index.d}"
-            )
-        return pack_bits(arr.astype(np.uint8), self.index.d)
 
     # -- metrics -----------------------------------------------------------
     def metrics(self) -> ServiceMetrics:
@@ -675,37 +658,12 @@ def _result_response(result, distance: Optional[int] = None) -> Dict[str, object
     }
 
 
-def decode_bits(value) -> np.ndarray:
-    """A wire bit row (or list of rows) as a ``uint8`` array.
-
-    Every value must be a JSON integer or boolean equal to 0 or 1 — the
-    rule :func:`~repro.core.mutable.coerce_delete_ids` applies to ids.
-    ``np.asarray(value, dtype=np.uint8)`` would truncate ``0.9`` to 0 and
-    parse ``"1"`` as 1, so a malformed row would be answered or inserted
-    as a different row.  Shared by the shard server and the router.
-    """
-    arr = np.asarray(value)
-    if arr.size and arr.dtype != np.bool_:
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"bits must be integers 0 or 1, got {arr.dtype} values")
-        if arr.min() < 0 or arr.max() > 1:
-            bad = arr[(arr < 0) | (arr > 1)]
-            raise ValueError(f"bits must be 0 or 1, got {int(bad[0])}")
-    return arr.astype(np.uint8)
-
-
-def _packed_query(service: AsyncANNService, bits) -> np.ndarray:
-    return service._pack_query(decode_bits(bits))
-
-
 def _query_distance(row: np.ndarray, result) -> Optional[int]:
     """True Hamming distance from the query to the answered point — what
     a router needs to merge shard answers exactly like
     :meth:`~repro.service.sharded.ShardedANNIndex.query_batch` does."""
     if result.answer_packed is None:
         return None
-    from repro.hamming.distance import hamming_distance
-
     return int(hamming_distance(row, result.answer_packed))
 
 
@@ -768,7 +726,7 @@ async def _handle_request(
             bits = request.get("bits")
             if bits is None:
                 raise ValueError("'query' needs a 'bits' array of 0/1 values")
-            row = _packed_query(service, bits)
+            row = coerce_rows([bits], service.index.d)[0]
             result = await service.query(row)
             response = _result_response(result, distance=_query_distance(row, result))
         elif op == "query_batch":
@@ -780,7 +738,7 @@ async def _handle_request(
             # Validate every row before submitting any, so one malformed
             # row fails the whole batch without half-submitting it (the
             # same atomicity ANNIndex.query_batch has).
-            rows = [_packed_query(service, bits) for bits in queries]
+            rows = coerce_rows(queries, service.index.d)
             results = await asyncio.gather(*(service.query(row) for row in rows))
             response = {
                 "ok": True,
@@ -793,13 +751,12 @@ async def _handle_request(
             points = request.get("points")
             if not points:
                 raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
-            arr = decode_bits(points)
+            rows = coerce_rows(points, service.index.d)  # validate pre-admission
             seq = request.get("seq")
             if seq is None:
-                ids = await service.insert(arr)
+                ids = await service.insert(rows)
                 response = _write_ack(state, None, ids=[int(i) for i in ids])
             else:
-                rows = service.index._coerce_rows(arr)  # validate pre-admission
 
                 def apply_insert(rows=rows):
                     return {"ids": [int(i) for i in service.index.insert(rows)]}
@@ -811,8 +768,6 @@ async def _handle_request(
                 raise ValueError("'delete' needs a non-empty 'ids' list")
             # Validated up front (flat, integer, no duplicates) — a JSON
             # float id is rejected here, never truncated.
-            from repro.core.mutable import coerce_delete_ids
-
             id_list = [int(i) for i in coerce_delete_ids(ids)]
             seq = request.get("seq")
             if seq is None:

@@ -2,7 +2,10 @@
 true distance.
 
 :class:`ShardedANNIndex` is the shard-and-merge pattern of distributed
-LSH/ANN services, on top of this package's existing layers:
+LSH/ANN services, on top of this package's existing layers.  The shard
+decisions (:func:`shard_offsets`/:func:`locate`, :func:`route_inserts`,
+:func:`merge_shard_answers`) are module functions that the router,
+:class:`~repro.service.cluster.ShardRouter`, calls too.
 
 * **Partitioning** splits the database rows into ``S`` contiguous shards
   of near-equal size; shard ``i`` owns global rows
@@ -49,8 +52,10 @@ LSH/ANN services, on top of this package's existing layers:
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,9 +66,8 @@ from repro.core.index import ANNIndex, DatabaseLike, _coerce_database
 from repro.core.mutable import coerce_delete_ids
 from repro.core.result import QueryResult
 from repro.hamming.distance import hamming_distance
-from repro.hamming.packing import pack_bits, packed_words
-from repro.hamming.points import PackedPoints
-from repro.service.engine import BatchStats
+from repro.hamming.points import coerce_rows
+from repro.service.engine import BatchStats, nearest_candidate
 from repro.storage.residency import (
     ResidencyManager,
     ResidencyStats,
@@ -72,7 +76,16 @@ from repro.storage.residency import (
 )
 from repro.utils.rng import RngTree
 
-__all__ = ["ShardedANNIndex", "shard_bounds", "shard_seed"]
+__all__ = [
+    "ShardedANNIndex",
+    "locate",
+    "merge_shard_answers",
+    "route_inserts",
+    "shard_bounds",
+    "shard_label",
+    "shard_offsets",
+    "shard_seed",
+]
 
 
 def shard_bounds(n: int, shards: int) -> List[Tuple[int, int]]:
@@ -100,6 +113,72 @@ def shard_seed(root_seed: int, shard: int) -> int:
 
     Deterministic in the root seed, independent across shards."""
     return RngTree(root_seed).child("shard", shard).root_entropy
+
+
+def shard_offsets(id_spaces: Sequence[int]) -> List[int]:
+    """Each shard's first global id: the running sum of the id spaces."""
+    return list(itertools.accumulate(id_spaces, initial=0))[:-1]
+
+
+def locate(gid: int, offsets: Sequence[int], id_spaces: Sequence[int]) -> Tuple[int, int]:
+    """Resolve a global id to ``(shard index, shard-local id)``.
+
+    The id partition: shard ``i`` owns ``[offsets[i], offsets[i] +
+    id_spaces[i])``.  Raises ``ValueError`` for ids outside every shard.
+    """
+    gid = int(gid)
+    si = bisect.bisect_right(offsets, gid) - 1
+    if si < 0 or gid - offsets[si] >= id_spaces[si]:
+        raise ValueError(f"id {gid} out of range [0, {sum(id_spaces)})")
+    return si, gid - offsets[si]
+
+
+def route_inserts(live: Sequence[int], count: int) -> List[Tuple[int, int]]:
+    """``(shard, position in its batch)`` for each of ``count`` new points.
+
+    Greedy per point: each goes to the shard with the fewest live rows at
+    that moment, ties to the smallest shard index.
+    """
+    live, sizes, routing = list(live), [0] * len(live), []
+    for _ in range(count):
+        si = live.index(min(live))
+        routing.append((si, sizes[si]))
+        sizes[si] += 1
+        live[si] += 1
+    return routing
+
+
+def shard_label(inner: str, shards: int) -> str:
+    """The scheme name merged results carry: ``sharded(<inner>×S)``."""
+    return f"sharded({inner}×{shards})"
+
+
+def merge_shard_answers(
+    answers: Sequence[Optional[Tuple[int, int, Mapping]]],
+    offsets: Sequence[int],
+    inner: str,
+) -> Tuple[Optional[int], Optional[int], Dict[str, object]]:
+    """Merge one query's shard answers by ``(true distance, global id)``.
+
+    ``answers[i]`` is shard ``i``'s ``(distance, local id, meta)``, or
+    None.  Returns the winning shard and its global id (None, None when
+    no shard answered) and the merged ``meta``.  The best true distance
+    among the shards' answers is a c-approximate answer for the union.
+    """
+    best = nearest_candidate(
+        None if answer is None else (int(answer[0]), offsets[si] + int(answer[1]), si)
+        for si, answer in enumerate(answers)
+    )
+    meta: Dict[str, object] = {
+        "shards": len(answers),
+        "shards_answered": sum(answer is not None for answer in answers),
+        "inner": inner,
+    }
+    if best is None:
+        return None, None, meta
+    distance, global_id, si = best
+    meta.update(shard=si, distance=distance, winner_meta=dict(answers[si][2]))
+    return si, global_id, meta
 
 
 def _meta_from_index(shard: ANNIndex) -> ShardMeta:
@@ -246,12 +325,10 @@ class ShardedANNIndex:
         allocated id spaces (static rows + memtable entries).  Recomputed
         on demand because inserts and compactions resize shards; cold
         shards answer from their manifests without attaching."""
-        out: List[int] = []
-        total = 0
-        for handle in self._handles:
-            out.append(total)
-            total += handle.id_space
-        return out
+        return shard_offsets(self._id_spaces())
+
+    def _id_spaces(self) -> List[int]:
+        return [handle.id_space for handle in self._handles]
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -399,18 +476,6 @@ class ShardedANNIndex:
         return self
 
     # -- querying ----------------------------------------------------------
-    def _coerce_batch(self, queries: Union[np.ndarray, list]) -> np.ndarray:
-        arr = np.asarray(queries)
-        if arr.size == 0:
-            return np.empty((0, packed_words(self.d)), dtype=np.uint64)
-        if arr.dtype != np.uint64:
-            if arr.ndim == 1:
-                arr = arr[None, :]
-            arr = pack_bits(arr.astype(np.uint8), self.d)
-        elif arr.ndim == 1:
-            arr = arr[None, :]
-        return arr
-
     def query(self, x: Union[np.ndarray, list]) -> QueryResult:
         """Answer one query through every shard; best true distance wins."""
         return self.query_batch(x)[0]
@@ -429,7 +494,7 @@ class ShardedANNIndex:
         at a time as the fan-out walks them — per-shard stats are
         captured inside the walk, while the shard is certainly resident.
         """
-        arr = self._coerce_batch(queries)
+        arr = coerce_rows(queries, self.d)
         offsets = self.offsets
         per_shard: List[List[QueryResult]] = []
         shard_stats: List[Optional[BatchStats]] = []
@@ -438,49 +503,29 @@ class ShardedANNIndex:
             per_shard.append(shard.query_batch(arr, prefetch=prefetch))
             shard_stats.append(shard.last_batch_stats)
         inner = self._handles[0].scheme_name
-        scheme_name = self.scheme_label
         merged: List[QueryResult] = []
         total_rounds = 0
         for qi in range(arr.shape[0]):
             accountant = ProbeAccountant()
-            best: Optional[Tuple[int, int, int, QueryResult]] = None
-            answered = 0
-            for si, results in enumerate(per_shard):
-                res = results[qi]
+            answers = []
+            for res in (results[qi] for results in per_shard):
                 accountant.merge_parallel(res.accountant)
-                if res.answer_packed is None:
-                    continue
-                answered += 1
-                dist = hamming_distance(arr[qi], res.answer_packed)
-                global_id = offsets[si] + res.answer_index
-                if best is None or (dist, global_id) < best[:2]:
-                    best = (dist, global_id, si, res)
+                answers.append(
+                    None
+                    if res.answer_packed is None
+                    else (hamming_distance(arr[qi], res.answer_packed), res.answer_index, res.meta)
+                )
             total_rounds += accountant.total_rounds
-            meta = {
-                "shards": self.num_shards,
-                "shards_answered": answered,
-                "inner": inner,
-            }
-            if best is None:
-                merged.append(
-                    QueryResult(None, None, accountant, scheme=scheme_name, meta=meta)
+            si, global_id, meta = merge_shard_answers(answers, offsets, inner)
+            merged.append(
+                QueryResult(
+                    global_id,
+                    None if si is None else per_shard[si][qi].answer_packed,
+                    accountant,
+                    scheme=self.scheme_label,
+                    meta=meta,
                 )
-            else:
-                dist, global_id, si, res = best
-                merged.append(
-                    QueryResult(
-                        global_id,
-                        res.answer_packed,
-                        accountant,
-                        scheme=scheme_name,
-                        meta={
-                            **meta,
-                            "shard": si,
-                            "distance": dist,
-                            "winner_meta": dict(res.meta),
-                        },
-                    )
-                )
+            )
         self._last_batch_stats = BatchStats(
             batch_size=arr.shape[0],
             sweeps=max((s.sweeps for s in shard_stats if s is not None), default=0),
@@ -498,36 +543,6 @@ class ShardedANNIndex:
         return self._last_batch_stats
 
     # -- mutation ----------------------------------------------------------
-    def _coerce_rows(self, points) -> np.ndarray:
-        """Packed ``(m, W)`` rows from bits/(packed) points of any shape.
-
-        Standalone (mirrors :meth:`ANNIndex._coerce_rows`) so that shaping
-        an input batch never forces a cold shard to attach.
-        """
-        if isinstance(points, PackedPoints):
-            if points.d != self.d:
-                raise ValueError(
-                    f"points have d={points.d}, index has d={self.d}"
-                )
-            return points.words
-        arr = np.asarray(points)
-        if arr.dtype == np.uint64:
-            if arr.ndim == 1:
-                arr = arr[None, :]
-            if arr.ndim != 2 or arr.shape[1] != packed_words(self.d):
-                raise ValueError(
-                    f"packed rows need shape (m, {packed_words(self.d)}), "
-                    f"got {arr.shape}"
-                )
-            return arr
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.d:
-            raise ValueError(
-                f"bit rows need shape (m, {self.d}), got {arr.shape}"
-            )
-        return pack_bits(arr.astype(np.uint8), self.d)
-
     def insert(self, points) -> List[int]:
         """Insert points, each routed to the shard with the fewest live
         rows at that moment (ties → smallest shard index).
@@ -539,40 +554,21 @@ class ShardedANNIndex:
         Receiving shards attach for write: a clean mmap'd shard is
         promoted to heap first (see :mod:`repro.storage.residency`).
         """
-        rows = self._coerce_rows(points)
+        rows = coerce_rows(points, self.d)
         if rows.shape[0] == 0:
             return []
-        live = [handle.live_count for handle in self._handles]
-        routed: List[List[np.ndarray]] = [[] for _ in self._handles]
-        routing: List[Tuple[int, int]] = []  # input row -> (shard, batch pos)
-        for i in range(rows.shape[0]):
-            si = min(range(len(self._handles)), key=lambda s: (live[s], s))
-            routing.append((si, len(routed[si])))
-            routed[si].append(rows[i])
-            live[si] += 1
-        local_ids: List[List[int]] = [
-            self._attach(si, for_write=True).insert(np.vstack(batch)) if batch else []
-            for si, batch in enumerate(routed)
+        routing = route_inserts(
+            [handle.live_count for handle in self._handles], rows.shape[0]
+        )
+        shard_of = np.array([si for si, _ in routing])
+        local_ids = [
+            self._attach(si, for_write=True).insert(rows[shard_of == si])
+            if si in shard_of
+            else []
+            for si in range(self.num_shards)
         ]
         offsets = self.offsets
         return [offsets[si] + local_ids[si][pos] for si, pos in routing]
-
-    def _locate(self, global_id: int, offsets: Optional[List[int]] = None) -> Tuple[int, int]:
-        """Resolve a global id to ``(shard index, shard-local id)``.
-
-        The single source of truth for the id partition (used by both
-        :meth:`delete` and :meth:`is_live`); raises ``ValueError`` for
-        ids outside every shard's allocated id space.
-        """
-        gid = int(global_id)
-        offsets = self.offsets if offsets is None else offsets
-        for si in range(len(self._handles) - 1, -1, -1):
-            if offsets[si] <= gid:
-                local = gid - offsets[si]
-                if local >= self._handles[si].id_space:
-                    break
-                return si, local
-        raise ValueError(f"id {gid} out of range [0, {self.id_space})")
 
     def delete(self, ids) -> int:
         """Delete rows by global id; returns how many were deleted.
@@ -587,10 +583,11 @@ class ShardedANNIndex:
         arr = coerce_delete_ids(ids)
         if arr.size == 0:
             return 0
-        offsets = self.offsets
+        id_spaces = self._id_spaces()
+        offsets = shard_offsets(id_spaces)
         per_shard: List[List[int]] = [[] for _ in self._handles]
         for gid in arr:
-            si, local = self._locate(gid, offsets)
+            si, local = locate(gid, offsets, id_spaces)
             if not self._attach(si).is_live(local):
                 raise ValueError(f"id {int(gid)} is already deleted")
             per_shard[si].append(local)
@@ -632,7 +629,7 @@ class ShardedANNIndex:
     def is_live(self, global_id: int) -> bool:
         """Whether a global id currently resolves to a searchable row."""
         try:
-            si, local = self._locate(global_id)
+            si, local = locate(global_id, self.offsets, self._id_spaces())
         except ValueError:
             return False
         return self._attach(si).is_live(local)
@@ -648,7 +645,7 @@ class ShardedANNIndex:
     @property
     def scheme_label(self) -> str:
         """The scheme name merged results carry: ``sharded(<inner>×S)``."""
-        return f"sharded({self._handles[0].scheme_name}×{len(self._handles)})"
+        return shard_label(self._handles[0].scheme_name, len(self._handles))
 
     def size_report(self) -> SchemeSizeReport:
         """Combined logical size accounting across all shards (attaches

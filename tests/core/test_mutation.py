@@ -104,6 +104,34 @@ class TestInsert:
         with pytest.raises(ValueError, match="packed rows"):
             index.insert(np.zeros((1, index.database.word_count + 1), dtype=np.uint64))
 
+    @pytest.mark.parametrize(
+        "d, call, rows",
+        [
+            pytest.param(D, "query", [0.9] * D, id="fractional-query"),
+            pytest.param(D, "query_batch", np.full((2, D), 0.9), id="fractional-batch"),
+            pytest.param(D, "insert", [[256] + [0] * (D - 1)], id="insert-bit-256"),
+            pytest.param(100, "insert", "padded", id="packed-insert-padding-bit"),
+            pytest.param(100, "query", "padded", id="packed-query-padding-bit"),
+        ],
+    )
+    def test_rows_the_wire_refuses_are_refused(self, d, call, rows):
+        """Values other than 0/1 and set padding bits are refused, not
+        cast: before, 0.9 and 256 were answered or inserted as 0, and a
+        packed row with bit 127 set at d=100 was inserted (breaking every
+        later compaction) or queried with a different probe count."""
+        index = ANNIndex.from_spec(
+            PackedPoints(random_points(np.random.default_rng(42), N, d), d),
+            SPEC,
+            compact_threshold=float("inf"),
+        )
+        if isinstance(rows, str):
+            rows = np.zeros((1, index.database.word_count), dtype=np.uint64)
+            rows[0, -1] = np.uint64(1) << np.uint64(63)
+            rows = rows if call == "insert" else rows[0]
+        with pytest.raises(ValueError, match="bits must be|padding bits"):
+            getattr(index, call)(rows)
+        assert index.id_space == N
+
     def test_empty_insert_is_a_noop(self, index):
         assert index.insert(np.zeros((0, D), dtype=np.uint8)) == []
         assert len(index) == N

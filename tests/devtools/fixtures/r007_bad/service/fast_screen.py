@@ -3,7 +3,7 @@
 import numpy as np
 from numpy import bitwise_count
 
-from repro.hamming.distance import popcount_rows, popcount_sum
+from repro.hamming.distance import popcount_rows
 
 
 def screen(queries, rows):
@@ -23,4 +23,4 @@ def paired(a, b):
 
 
 def paired_ufunc(a, b):
-    return popcount_sum(np.bitwise_xor(a, b), axis=1)  # LINT-EXPECT: R007
+    return popcount_rows(np.bitwise_xor(a, b))  # LINT-EXPECT: R007

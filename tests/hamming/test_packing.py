@@ -63,6 +63,24 @@ class TestPackUnpack:
         with pytest.raises(PackedArrayError):
             pack_bits(np.array([0, 2, 1], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            pytest.param([256, 1, 0], "bits must be 0 or 1, got 256", id="256"),
+            pytest.param([0, 1, -1], "bits must be 0 or 1, got -1", id="negative"),
+            pytest.param([0.9, 1.0, 0.2], "integers 0 or 1", id="fractional"),
+            pytest.param(["1", "0", "1"], "integers 0 or 1", id="strings"),
+        ],
+    )
+    def test_rejects_values_before_any_cast(self, bits, message):
+        # A cast first turned 256 and 0.9 into 0: both packed to [2].
+        with pytest.raises(PackedArrayError, match=message):
+            pack_bits(bits)
+
+    def test_accepts_booleans_and_any_integer_dtype(self):
+        for bits in ([True, False, True], np.array([1, 0, 1], dtype=np.int64)):
+            assert pack_bits(bits).tolist() == [5]
+
     def test_rejects_wrong_d(self):
         with pytest.raises(PackedArrayError):
             pack_bits(np.zeros(10, dtype=np.uint8), d=12)

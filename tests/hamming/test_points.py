@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hamming.packing import PackedArrayError, random_packed
-from repro.hamming.points import PackedPoints
+from repro.hamming.packing import PackedArrayError, pack_bits, random_packed
+from repro.hamming.points import PackedPoints, coerce_rows
 
 
 @pytest.fixture
@@ -76,3 +76,53 @@ class TestLarge:
         p = PackedPoints(words, 1000)
         assert p.word_count == 16
         assert p.distances_from(p.row(0))[0] == 0
+
+
+class TestCoerceRows:
+    """The one input shaper every query/insert entry point calls."""
+
+    def test_every_form_gives_the_same_rows(self, pts):
+        packed, bits = pts
+        for form in (packed, packed.words, bits, bits.tolist(), bits.astype(bool)):
+            rows = coerce_rows(form, 100)
+            assert rows.dtype == np.uint64 and rows.shape == (10, 2)
+            assert np.array_equal(rows, packed.words)
+
+    def test_one_row_is_promoted(self, pts):
+        packed, bits = pts
+        assert np.array_equal(coerce_rows(bits[3], 100), packed.words[3:4])
+        assert np.array_equal(coerce_rows(packed.row(3), 100), packed.words[3:4])
+
+    @pytest.mark.parametrize(
+        "empty", [[], np.empty((0, 100), np.uint8), np.empty((0, 2), np.uint64)]
+    )
+    def test_no_rows_give_zero_packed_rows(self, empty):
+        assert coerce_rows(empty, 100).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            pytest.param(np.zeros((1, 101), np.uint8), "bit rows", id="bit-width"),
+            pytest.param(np.zeros((1, 3), np.uint64), "packed rows", id="word-width"),
+            pytest.param([[0.9] * 100], "integers 0 or 1", id="fractional"),
+            pytest.param([[2] + [0] * 99], "bits must be 0 or 1", id="two"),
+            # Only an ndarray is read as packed words: a list of large
+            # integers (all a JSON row can carry) is bits, so refused.
+            pytest.param([2**63, 2**63], "bit rows", id="list-of-words"),
+            pytest.param([[2**63] * 100], "bits must be 0 or 1", id="list-of-large-ints"),
+        ],
+    )
+    def test_refusals(self, points, message):
+        with pytest.raises(PackedArrayError, match=message):
+            coerce_rows(points, 100)
+
+    def test_refuses_padding_bits(self):
+        row = pack_bits(np.ones(100, np.uint8))
+        row[-1] |= np.uint64(1) << np.uint64(63)
+        with pytest.raises(PackedArrayError, match="padding bits"):
+            coerce_rows(row, 100)
+
+    def test_refuses_points_of_another_dimension(self, pts):
+        packed, _ = pts
+        with pytest.raises(PackedArrayError, match="d=100, index has d=64"):
+            coerce_rows(packed, 64)

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import IndexSpec
+from repro.cellprobe.accounting import ProbeAccountant
 from repro.core.index import ANNIndex
 from repro.hamming.distance import hamming_distance
 from repro.hamming.kernels import (
@@ -23,7 +26,16 @@ from repro.hamming.kernels import (
 from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import flip_random_bits, random_points
 from repro.persistence import load_any
-from repro.service.sharded import ShardedANNIndex, shard_bounds, shard_seed
+from repro.service.cluster import ShardRouter
+from repro.service.sharded import (
+    ShardedANNIndex,
+    locate,
+    merge_shard_answers,
+    route_inserts,
+    shard_bounds,
+    shard_offsets,
+    shard_seed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +107,120 @@ class TestPartitioning:
         assert shard_seed(5, 0) == shard_seed(5, 0)
         assert shard_seed(5, 0) != shard_seed(5, 1)
         assert shard_seed(5, 0) != shard_seed(6, 0)
+
+
+# -- the shard rules ShardedANNIndex and ShardRouter share ---------------------
+id_spaces_st = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_partition_property_locate_matches_a_scan(data):
+    """``locate`` resolves every global id exactly as a scan over the
+    shards' id ranges does, and refuses the ids no shard owns."""
+    id_spaces = data.draw(id_spaces_st)
+    total = sum(id_spaces)
+    gid = data.draw(st.integers(min_value=-2, max_value=total + 2))
+    offsets = shard_offsets(id_spaces)
+    assert offsets == [sum(id_spaces[:i]) for i in range(len(id_spaces))]
+    owners = [(si, local) for si, size in enumerate(id_spaces) for local in range(size)]
+    if 0 <= gid < total:
+        assert locate(gid, offsets, id_spaces) == owners[gid]
+    else:
+        with pytest.raises(ValueError, match=rf"^id {gid} out of range \[0, {total}\)$"):
+            locate(gid, offsets, id_spaces)
+
+
+@given(
+    live=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=5),
+    count=st.integers(min_value=0, max_value=30),
+)
+@settings(max_examples=150, deadline=None)
+def test_partition_property_routing_replays_the_greedy_rule(live, count):
+    """Each point goes to the shard with the fewest live rows at that
+    moment, ties to the smaller index; positions number each shard's
+    batch in input order."""
+    current = list(live)
+    expected = []
+    for _ in range(count):
+        si = current.index(min(current))
+        expected.append((si, sum(1 for s, _ in expected if s == si)))
+        current[si] += 1
+    assert route_inserts(live, count) == expected
+
+
+def _router(shards: int, inner: str) -> ShardRouter:
+    """An unstarted router: its merge needs only the shard count and the
+    inner scheme name a started router reads from its replicas."""
+    router = ShardRouter([[("127.0.0.1", 9)] for _ in range(shards)])
+    router._inner_scheme = inner
+    return router
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_partition_property_merge_ties_skips_and_folds(data):
+    """The shard merge picks the smallest ``(distance, global id)`` —
+    a distance tie goes to the smaller global id — skips shards without
+    an answer, and answers nothing when no shard does; the router's wire
+    fold and the in-process accountant fold give the same ledger."""
+    id_spaces = data.draw(id_spaces_st)
+    offsets = shard_offsets(id_spaces)
+    answers, ledgers = [], []
+    for si, size in enumerate(id_spaces):
+        answer = data.draw(
+            st.none()
+            | st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=size - 1),
+                st.fixed_dictionaries({"shard_tag": st.just(si)}),
+            )
+        )
+        answers.append(answer)
+        ledgers.append(data.draw(st.lists(st.integers(min_value=0, max_value=4), max_size=4)))
+
+    si, global_id, meta = merge_shard_answers(answers, offsets, "inner")
+    scored = sorted(
+        (answer[0], offsets[s] + answer[1], s)
+        for s, answer in enumerate(answers)
+        if answer is not None
+    )
+    assert meta["shards"] == len(id_spaces)
+    assert meta["shards_answered"] == len(scored)
+    if not scored:
+        assert (si, global_id) == (None, None)
+        assert meta == {"shards": len(id_spaces), "shards_answered": 0, "inner": "inner"}
+    else:
+        distance, want_gid, want_shard = scored[0]
+        assert (si, global_id, meta["shard"], meta["distance"]) == (
+            want_shard,
+            want_gid,
+            want_shard,
+            distance,
+        )
+        assert meta["winner_meta"] == {"shard_tag": want_shard}
+
+    accountant = ProbeAccountant()
+    for counts in ledgers:
+        shard_ledger = ProbeAccountant()
+        for count in counts:
+            shard_ledger.charge_round(shard_ledger.begin_round(), [("t", 0)] * count)
+        accountant.merge_parallel(shard_ledger)
+    responses = [
+        {
+            "answer_index": None if answer is None else answer[1],
+            "distance": None if answer is None else answer[0],
+            "probes_per_round": counts,
+            "meta": {} if answer is None else answer[2],
+        }
+        for answer, counts in zip(answers, ledgers)
+    ]
+    wire = _router(len(id_spaces), "inner")._merged_response(responses, offsets)
+    assert wire["probes_per_round"] == accountant.probes_per_round
+    assert wire["probes"] == accountant.total_probes
+    assert wire["rounds"] == accountant.total_rounds
+    assert (wire["answer_index"], wire["meta"]) == (global_id, meta)
+    assert wire["scheme"] == f"sharded(inner×{len(id_spaces)})"
 
 
 def _kernel_cases():
@@ -244,3 +370,23 @@ class TestPersistence:
         db, _ = workload
         ShardedANNIndex.build(db, SPEC, shards=2).save(tmp_path / "s")
         assert isinstance(load_any(tmp_path / "s"), ShardedANNIndex)
+
+
+class TestInputShaping:
+    """The sharded facade refuses the rows the wire refuses, and writes
+    nothing when it does."""
+
+    @pytest.mark.parametrize(
+        "call, rows",
+        [
+            pytest.param("query", [0.9] * 128, id="fractional-query"),
+            pytest.param("query_batch", np.full((2, 128), 0.9), id="fractional-batch"),
+            pytest.param("insert", [[256] + [0] * 127], id="insert-bit-256"),
+        ],
+    )
+    def test_refuses_values_other_than_0_or_1(self, workload, call, rows):
+        db, _ = workload
+        index = ShardedANNIndex.build(db, SPEC, shards=2)
+        with pytest.raises(ValueError, match="bits must be"):
+            getattr(index, call)(rows)
+        assert index.id_space == len(db)

@@ -279,6 +279,7 @@ def test_supervised_cluster_respawns_dead_replicas(snapshot, tmp_path):
     ) as cluster:
         with cluster.connect() as client:
             apply_writes(client, oracle, rng, oracle.d)
+            first_port = cluster.replica(0, 0).port
             cluster.kill_replica(0, 0)
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
@@ -287,6 +288,9 @@ def test_supervised_cluster_respawns_dead_replicas(snapshot, tmp_path):
                 time.sleep(0.1)
             else:
                 raise AssertionError("supervision never respawned the replica")
+            # Shard servers bind port 0 once; the respawn reuses the port
+            # the first spawn bound, which the router's shard map names.
+            assert cluster.replica(0, 0).port == first_port
             # the respawned replica answers its shard alone, bitwise
             cluster.kill_replica(0, 1)
             cluster.wait_replica_alive(0, 1)  # supervised: comes back too

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.service.harness import ClusterHarness
 from repro.service.server import _jsonable, _query_distance, _result_response
-from repro.service.sharded import ShardedANNIndex
+from repro.service.sharded import ShardedANNIndex, locate
 from repro.hamming.packing import pack_bits
 
 __all__ = [
@@ -129,7 +129,8 @@ def run_chaos(
         if rng.random() < 0.5:  # planted near a live row: nontrivial answers
             live = _live_ids(oracle)
             gid = int(live[int(rng.integers(0, len(live)))] if live else 0)
-            si, local = oracle._locate(gid)
+            id_spaces = [shard.id_space for shard in oracle.shards]
+            si, local = locate(gid, oracle.offsets, id_spaces)
             words = oracle.shards[si].database.words
             # memtable rows are not in .database; fall back to random bits
             if local < words.shape[0]:
