@@ -79,7 +79,7 @@ def e15_rows(e15_workload, report_table):
     for batch_size in BATCH_SIZES:
         queries = all_queries[:batch_size]
         seq_rate, seq_results, _ = _best_rate(
-            lambda index: [index.query_packed(q) for q in queries], batch_size, db
+            lambda index: [index.query(q) for q in queries], batch_size, db
         )
         bat_rate, bat_results, bat_index = _best_rate(
             lambda index: index.query_batch(queries), batch_size, db

@@ -77,7 +77,7 @@ def _merge_matches_oracle(db, sharded, queries) -> bool:
     for qi, res in enumerate(sharded.query_batch(queries)):
         best = None
         for si, single in enumerate(singles):
-            r = single.query_packed(queries[qi])
+            r = single.query(queries[qi])
             if r.answer_packed is None:
                 continue
             cand = (

@@ -107,7 +107,7 @@ def e17_rows(e17_workload, report_table):
     db, queries = e17_workload
     # Sequential reference: the answers every serving run must reproduce.
     reference_index = _build_index(db)
-    reference = [reference_index.query_packed(q) for q in queries]
+    reference = [reference_index.query(q) for q in queries]
 
     # Batch-size-1 capacity at saturation sets the arrival-rate ladder.
     _, base_makespan, _, _ = _serve_run(db, queries, float("inf"), 1)

@@ -47,7 +47,7 @@ def main() -> None:
 
     print(f"Sequential loop over {batch} queries...")
     t0 = time.perf_counter()
-    seq_results = [seq_index.query_packed(q) for q in queries]
+    seq_results = [seq_index.query(q) for q in queries]
     seq_secs = time.perf_counter() - t0
 
     print(f"One query_batch call over the same {batch} queries...")

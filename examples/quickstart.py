@@ -47,7 +47,7 @@ def main() -> None:
     for i in range(10):
         base = database.row(int(rng.integers(0, n)))
         query = flip_random_bits(rng, base, int(rng.integers(0, 40)), d)
-        result = index.query_packed(query)
+        result = index.query(query)
         ratio = result.ratio(database, query)
         ok = ratio is not None and ratio <= gamma
         successes += ok

@@ -46,7 +46,7 @@ async def main() -> None:
     index = ANNIndex.from_spec(database, spec)
 
     print(f"Sequential reference: {requests} index.query calls...")
-    reference = [index.query_packed(q) for q in queries]
+    reference = [index.query(q) for q in queries]
 
     print(f"Serving the same {requests} queries as concurrent requests...")
     async with AsyncANNService(index, max_batch=64, max_wait_ms=2.0) as service:

@@ -27,14 +27,14 @@ fresh = random_points(rng, 5, d)
 ids = index.insert(fresh)  # searchable immediately (exact memtable scan)
 print(f"inserted ids {ids}; live rows: {len(index)}")
 
-hit = index.query_packed(fresh[0])
+hit = index.query(fresh[0])
 print(f"query for an inserted point -> id {hit.answer_index} "
       f"(source: {hit.meta['mutable']['source']})")
 
-victim = index.query_packed(queries[0]).answer_index
+victim = index.query(queries[0]).answer_index
 index.delete([victim])  # tombstoned: can never surface again
 print(f"deleted id {victim}; new answer: "
-      f"{index.query_packed(queries[0]).answer_index}")
+      f"{index.query(queries[0]).answer_index}")
 
 # --- amortized compaction + the rebuild-equivalence oracle ----------------
 generation = index.compact()
@@ -43,7 +43,7 @@ oracle = ANNIndex.from_spec(
     survivors, spec.replace(seed=generation_seed(spec.seed, generation))
 )
 for q in queries:
-    a, b = index.query_packed(q), oracle.query_packed(q)
+    a, b = index.query(q), oracle.query(q)
     assert (a.answer_index, a.probes, a.rounds, a.probes_per_round) == (
         b.answer_index, b.probes, b.rounds, b.probes_per_round
     )

@@ -321,13 +321,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     from repro.persistence import MANIFEST_FILE, snapshot_write_seq
     from repro.service.server import describe_index, serve
 
-    if args.memory_budget:
-        print(
-            "note: --memory-budget is inert for shard-serve (one shard per "
-            "process leaves nothing to evict); use --load-mode mmap to keep "
-            "this shard out-of-core",
-            file=sys.stderr,
-        )
     snapshot_dir = args.snapshot_dir or args.index
     source = args.index
     if args.snapshot_dir and (Path(args.snapshot_dir) / MANIFEST_FILE).is_file():
@@ -577,7 +570,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     rows = []
     for i in range(8):
         q = flip_random_bits(rng, db.row(int(rng.integers(0, n))), int(rng.integers(0, 40)), d)
-        res = index.query_packed(q)
+        res = index.query(q)
         rows.append({"query": i, "probes": res.probes, "rounds": res.rounds,
                      "ratio": res.ratio(db, q), "path": res.meta.get("path")})
     print_table(f"Demo: preset 'paper' (k=3 rounds), n={n}, d={d}, γ=4", rows)
@@ -699,15 +692,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="RNG seed for --insert-random points")
     p.set_defaults(fn=_cmd_mutate)
 
-    def out_of_core(p: argparse.ArgumentParser, inert: str = "") -> None:
-        note = f" ({inert})" if inert else ""
+    def load_mode_opt(p: argparse.ArgumentParser, note: str = "") -> None:
         p.add_argument("--load-mode", choices=("heap", "mmap"), default="heap",
                        help="how snapshot payloads load: heap materializes "
                             "everything, mmap maps format-v3 payloads "
                             f"zero-copy{note}")
-        p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                       help="evict least-recently-queried clean shards once "
-                            f"resident bytes exceed this{note}")
 
     p = sub.add_parser(
         "serve", help="serve a saved index over TCP with adaptive micro-batching"
@@ -724,7 +713,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ready-file", metavar="PATH",
                    help="write 'host port' here once listening (for scripts)")
     kernel_opt(p)
-    out_of_core(p)
+    load_mode_opt(p)
+    p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
+                   help="evict least-recently-queried clean shards once "
+                        "resident bytes exceed this")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -750,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "to --index; required per replica when siblings "
                         "share an --index snapshot)")
     kernel_opt(p)
-    out_of_core(p, inert="inert here: a single shard has nothing to evict")
+    load_mode_opt(p)
     p.set_defaults(fn=_cmd_shard_serve)
 
     p = sub.add_parser(
@@ -786,8 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--supervise-interval", type=float, default=1.0,
                    help="seconds between supervisor respawn sweeps")
     kernel_opt(p)
-    out_of_core(p, inert="accepted for launch-script symmetry; the router "
-                         "holds no index, so both are inert here")
+    load_mode_opt(p, " in the shard servers --supervise launches")
     p.set_defaults(fn=_cmd_route)
 
     p = sub.add_parser("tradeoff", help="probes vs rounds k (E1/E2)")

@@ -303,11 +303,6 @@ class ANNIndex:
             raise ValueError(f"query needs one row, got {rows.shape[0]}")
         return self._merge_mutations(rows, [self.scheme.query(rows[0])])[0]
 
-    def query_packed(self, x: np.ndarray) -> QueryResult:
-        """Answer one query given as a packed uint64 row."""
-        arr = np.asarray(x, dtype=np.uint64)
-        return self._merge_mutations(arr[None, :], [self.scheme.query(arr)])[0]
-
     def _engine(self, prefetch: bool) -> BatchQueryEngine:
         """The cached batch engine for this prefetch flag."""
         engine = self._engines.get(prefetch)

@@ -75,7 +75,6 @@ reading this module.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
 
@@ -126,7 +125,7 @@ class IndexPersistenceError(RuntimeError):
 
 
 def _write_manifest(path: Path, manifest: Dict[str, object]) -> None:
-    """Write the manifest atomically: temp file, fsync, ``os.replace``.
+    """Write the manifest atomically (:func:`repro.storage.layout.atomic_write`).
 
     The manifest is written *last* in every save, so its appearance is
     what commits a snapshot.  A bare ``write_text`` could be caught
@@ -135,23 +134,8 @@ def _write_manifest(path: Path, manifest: Dict[str, object]) -> None:
     With the rename, readers see either the old manifest or the new
     one, never a torn in-between.
     """
-    target = path / MANIFEST_FILE
-    tmp = path / (MANIFEST_FILE + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
-    try:
-        dir_fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return  # no directory fds on this platform; the rename happened
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass  # directory fsync unsupported on this filesystem
-    finally:
-        os.close(dir_fd)
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    layout.atomic_write(path / MANIFEST_FILE, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def read_manifest(path: PathLike) -> Dict[str, object]:

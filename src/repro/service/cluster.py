@@ -19,14 +19,18 @@ and answer merge are the :mod:`repro.service.sharded` functions that
 Consistency model (``docs/DISTRIBUTED.md`` for the full matrix):
 
 * Every ``insert``/``delete`` is validated at the router, appended to
-  the owning shard's write log with the next sequence number, and then
-  sent to each live replica tagged with that number.  Replicas admit
-  exactly the next number (:class:`~repro.service.server.WriteSequencer`),
-  acknowledge duplicates idempotently, and refuse gaps — so replica
-  state is a pure function of (snapshot, applied log prefix).
+  the owning shard's write log (:class:`~repro.service.wal.WriteAheadLog`,
+  memory-only or durable under ``--log-dir``) with the next sequence
+  number, and then sent to each live replica tagged with that number.
+  Replicas admit exactly the next number
+  (:class:`~repro.service.server.WriteSequencer`), acknowledge
+  duplicates idempotently, and refuse gaps — so replica state is a pure
+  function of (snapshot, applied log prefix).
 * The log is the truth: once an entry is logged, it *will* reach every
-  replica — immediately when live, or by **catch-up replay** (entries
-  after the replica's last applied number) when it comes back.
+  replica — immediately when live, or by **replay** (entries after the
+  replica's last applied number) when it comes back or when a
+  recovering router reopens a durable log.  A checkpoint truncates the
+  log up to what every replica's snapshot covers.
 * A writer-preferring read/write lock gives the cluster the same
   barrier semantics a single :class:`~repro.service.server.AsyncANNService`
   has: queries in flight complete against the pre-write state, the
@@ -36,14 +40,15 @@ Robustness: per-request timeouts with retry on a sibling replica, a
 periodic health loop that marks replicas dead (and routes around them)
 and revives them through catch-up, and router metrics (per-replica
 p50/p99, retries, dead/alive transitions) surfaced through the ``stats``
-verb.
+verb.  The wire envelope and listener are
+:func:`repro.service.server._answer` and ``_listen``, shared with the
+shard server; :func:`_handle_router_request` is the router's verb table.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import time
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
@@ -58,7 +63,7 @@ from repro.service.replica import (
     ReplicaRequestError,
     ReplicaUnavailableError,
 )
-from repro.service.server import WIRE_LINE_LIMIT, _connection_loop, _jsonable
+from repro.service.server import _listen
 from repro.service.sharded import (
     locate,
     merge_shard_answers,
@@ -220,16 +225,16 @@ class ShardRouter:
         sibling
     health_interval : seconds between health-check sweeps (ping live
         replicas, revive dead ones via catch-up)
-    wal : a :class:`~repro.service.wal.WriteAheadLog` making the write
-        log durable — every write is fsync'd to its shard's segment
-        before any replica sees it, and ``snapshot`` truncates the
-        segments up to the replicas' persisted coverage (None keeps
-        the PR-6 in-memory-only log)
-    recover : rebuild the write log from existing WAL segments at
-        :meth:`start` and replay the gap to every lagging replica
-        (requires ``wal``); without it, pre-existing segments are an
-        error — silently appending to a log the router has not read
-        would fork history
+    log_dir : directory that makes the write log (:attr:`log`) durable
+        — every write is fsync'd to its shard's segment before any
+        replica sees it; None keeps the log in memory only.  Either
+        way ``snapshot`` truncates it up to the replicas' persisted
+        coverage
+    recover : rebuild the write log from existing segments under
+        ``log_dir`` at :meth:`start` and replay the gap to every lagging
+        replica (requires ``log_dir``); without it, pre-existing
+        segments are an error — silently appending to a log the router
+        has not read would fork history
 
     Use ``await router.start()`` / ``await router.stop()``, or serve it
     over the wire with :func:`serve_router`.
@@ -240,16 +245,18 @@ class ShardRouter:
         shard_map: Sequence[Sequence[Tuple[str, int]]],
         timeout: float = DEFAULT_TIMEOUT_S,
         health_interval: float = DEFAULT_HEALTH_INTERVAL_S,
-        wal: Optional[WriteAheadLog] = None,
+        log_dir: Optional[str] = None,
         recover: bool = False,
     ):
         if not shard_map or any(not replicas for replicas in shard_map):
             raise ValueError("every shard needs at least one replica endpoint")
-        if recover and wal is None:
-            raise ValueError("recover=True needs a WriteAheadLog (--log-dir)")
+        if recover and log_dir is None:
+            raise ValueError("recover=True needs a log_dir (--log-dir)")
         self.timeout = float(timeout)
         self.health_interval = float(health_interval)
-        self._wal = wal
+        #: Every shard's write log: its base, its entries, and (with a
+        #: ``log_dir``) the durable segments — the router's only copy.
+        self.log = WriteAheadLog(log_dir)
         self._recover = bool(recover)
         self._replicas: List[List[_Replica]] = [
             [
@@ -259,10 +266,8 @@ class ShardRouter:
             for si, replicas in enumerate(shard_map)
         ]
         self._mirror: List[_Mirror] = []
-        self._log: List[List[dict]] = [[] for _ in self._replicas]
-        self._log_base: List[int] = [0 for _ in self._replicas]
         # Last snapshot coverage each replica reported (seeded at start,
-        # updated by the snapshot verb and catch-up) — the WAL may only
+        # updated by the snapshot verb and catch-up) — the log may only
         # truncate up to the minimum across a shard's replicas.
         self._snapshot_seq: List[List[int]] = [
             [0] * len(group) for group in self._replicas
@@ -288,8 +293,6 @@ class ShardRouter:
                 "replayed_writes",
                 "write_rejects",
                 "divergence",
-                "wal_appends",
-                "wal_truncations",
                 "recoveries",
                 "recovered_writes",
                 "respawns",
@@ -323,24 +326,23 @@ class ShardRouter:
         applied write sequence or state (they must be bitwise equal), or
         when a replica reports a different shard id than the map says.
 
-        With a WAL in ``recover`` mode, the write log is first rebuilt
-        from the on-disk segments and the gap (entries past each
-        replica's applied sequence — including writes that were logged
-        but unconfirmed when the previous router died) is replayed to
-        every reachable replica, so the strict agreement check below
-        runs against the *recovered* state.
+        In ``recover`` mode, the write log is first rebuilt from the
+        on-disk segments and the gap (entries past each replica's applied
+        sequence — including writes that were logged but unconfirmed
+        when the previous router died) is replayed to every reachable
+        replica, so the strict agreement check below runs against the
+        *recovered* state.  Otherwise each shard's log starts empty at
+        its replicas' agreed sequence.
         """
-        recovered = False
-        if self._wal is not None:
-            if self._recover and self._wal.has_segments:
-                self._wal.open_segments(self.num_shards)
-                recovered = True
-            elif not self._recover and self._wal.has_segments:
-                raise ClusterError(
-                    f"{self._wal.log_dir} already holds WAL segments; pass "
-                    "--recover to replay them or point --log-dir at a fresh "
-                    "directory"
-                )
+        recovered = self._recover and self.log.has_segments
+        if recovered:
+            self.log.open_segments(self.num_shards)
+        elif self.log.has_segments:
+            raise ClusterError(
+                f"{self.log.log_dir} already holds WAL segments; pass "
+                "--recover to replay them or point --log-dir at a fresh "
+                "directory"
+            )
         infos = await asyncio.gather(
             *(
                 replica.client.request("info", timeout=self.timeout)
@@ -352,6 +354,7 @@ class ShardRouter:
         flat = [replica for group in self._replicas for replica in group]
         by_replica = dict(zip((id(r) for r in flat), infos))
         self._mirror = []
+        bases: List[int] = []
         dims = set()
         for si, group in enumerate(self._replicas):
             reachable: List[Tuple[_Replica, dict]] = []
@@ -370,7 +373,7 @@ class ShardRouter:
             if not reachable:
                 raise ClusterError(f"shard {si} has no reachable replica")
             if recovered:
-                reachable = await self._recover_shard(si, reachable)
+                reachable = await self._recover_shard(reachable)
             states = {
                 (
                     int(info["replication"]["last_seq"]),
@@ -385,17 +388,13 @@ class ShardRouter:
                     f"{sorted(states)} — rebuild them from one snapshot"
                 )
             last_seq, live, id_space = states.pop()
-            if recovered:
-                head = self._wal.base(si) + len(self._wal.entries(si))
-                if last_seq != head:
-                    raise ClusterError(
-                        f"shard {si} replicas sit at seq {last_seq} after "
-                        f"recovery, WAL head is {head}"
-                    )
-                self._log_base[si] = self._wal.base(si)
-                self._log[si] = self._wal.entries(si)
-            else:
-                self._log_base[si] = last_seq
+            if recovered and last_seq != self.log.head(si):
+                raise ClusterError(
+                    f"shard {si} replicas sit at seq {last_seq} after "
+                    f"recovery, the log head is {self.log.head(si)}"
+                )
+            base = self.log.base(si) if recovered else last_seq
+            bases.append(base)
             self._mirror.append(_Mirror(live=live, id_space=id_space))
             dims.add(int(reachable[0][1]["index"]["d"]))
             if si == 0:
@@ -406,20 +405,19 @@ class ShardRouter:
                     # Unreachable: its snapshot coverage is unknown.
                     # Pin it at the log base so truncation cannot pass
                     # entries this replica may still need for catch-up.
-                    self._snapshot_seq[si][ri] = self._log_base[si]
+                    self._snapshot_seq[si][ri] = base
             for replica, info in reachable:
                 replica.alive = True
                 ri = group.index(replica)
                 reported = info.get("replication", {}).get("snapshot_seq")
                 self._snapshot_seq[si][ri] = (
-                    int(reported) if reported is not None else self._log_base[si]
+                    int(reported) if reported is not None else base
                 )
         if len(dims) != 1:
             raise ClusterError(f"shards disagree on dimension: {sorted(dims)}")
         self.d = dims.pop()
-        if self._wal is not None and not recovered:
-            # Fresh log: segments start at the replicas' agreed sequence.
-            self._wal.create_segments(list(self._log_base))
+        if not recovered:
+            self.log.create_segments(bases)
         self._started_at = time.monotonic()
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop(), name="router-health"
@@ -427,46 +425,14 @@ class ShardRouter:
         return self
 
     async def _recover_shard(
-        self, si: int, reachable: List[Tuple[_Replica, dict]]
+        self, reachable: List[Tuple[_Replica, dict]]
     ) -> List[Tuple[_Replica, dict]]:
-        """Reconcile one shard's replicas against the recovered WAL.
-
-        Replays the entries past each replica's applied sequence (its
-        sequencer acks already-applied numbers idempotently, so a
-        replica that raced ahead of the last ack is safe), then
-        re-probes so the caller's agreement check sees post-replay
-        state.  A replica ahead of the WAL head means the log is stale
-        (wrong directory, or writes happened through another router):
-        refusing loudly beats silently forking history.
-        """
-        base = self._wal.base(si)
-        entries = self._wal.entries(si)
-        head = base + len(entries)
+        """Replay the recovered log to one shard's replicas, then re-probe
+        them so the caller's agreement check sees post-replay state.
+        (A replica's sequencer acks already-applied numbers
+        idempotently, so one that raced ahead of the last ack is safe.)"""
         for replica, info in reachable:
-            last = int(info["replication"]["last_seq"])
-            if last > head:
-                raise ClusterError(
-                    f"replica {replica.client.address} applied seq {last}, "
-                    f"ahead of the WAL head {head} — stale or foreign log "
-                    f"under {self._wal.log_dir}"
-                )
-            if last < base:
-                raise ClusterError(
-                    f"replica {replica.client.address} is at seq {last}, "
-                    f"behind the WAL base {base}; its snapshot predates the "
-                    "log's truncation point — restart it from a newer snapshot"
-                )
-        for replica, info in reachable:
-            last = int(info["replication"]["last_seq"])
-            replayed = 0
-            for entry in entries[last - base:]:
-                await replica.client.request(
-                    entry["op"],
-                    timeout=self.timeout,
-                    seq=entry["seq"],
-                    **entry["payload"],
-                )
-                replayed += 1
+            replayed = await self._replay(replica, int(info["replication"]["last_seq"]))
             if replayed:
                 self._counters["recoveries"] += 1
                 self._counters["recovered_writes"] += replayed
@@ -477,6 +443,38 @@ class ShardRouter:
             )
         )
         return [(replica, info) for (replica, _), info in zip(reachable, fresh)]
+
+    async def _replay(self, replica: _Replica, last: int) -> int:
+        """Send ``replica`` its shard's log entries past seq ``last``, in
+        order; returns how many.  Router recovery and catch-up both
+        replay through here.
+
+        A replica ahead of the log head means the log is stale (wrong
+        directory, or writes went through another router); one behind
+        the log base has a snapshot older than the log's truncation
+        point.  Both are refused before anything is sent — refusing
+        loudly beats silently forking history.
+        """
+        si = replica.shard
+        base, head = self.log.base(si), self.log.head(si)
+        if last > head:
+            raise ClusterError(
+                f"replica {replica.client.address} applied seq {last}, "
+                f"ahead of shard {si}'s log head {head} — stale router or "
+                "foreign log"
+            )
+        if last < base:
+            raise ClusterError(
+                f"replica {replica.client.address} is at seq {last}, behind "
+                f"shard {si}'s log base {base}; its snapshot predates the "
+                "log's truncation point — restart it from a newer snapshot"
+            )
+        entries = self.log.entries(si)[last - base:]
+        for entry in entries:
+            await replica.client.request(
+                entry["op"], timeout=self.timeout, seq=entry["seq"], **entry["payload"]
+            )
+        return len(entries)
 
     async def stop(self) -> None:
         if self._health_task is not None:
@@ -489,8 +487,7 @@ class ShardRouter:
         for group in self._replicas:
             for replica in group:
                 await replica.client.close()
-        if self._wal is not None:
-            self._wal.close()
+        self.log.close()
 
     async def __aenter__(self) -> "ShardRouter":
         return await self.start()
@@ -554,24 +551,6 @@ class ShardRouter:
         )
 
     # -- the write log -----------------------------------------------------
-    def _append_log(self, si: int, op: str, payload: dict) -> int:
-        """Append one entry to shard ``si``'s log; returns its seq.
-
-        With a WAL, the entry is fsync'd to the shard's segment *first*
-        — no replica may see a write the log could lose.
-        """
-        seq = self._log_base[si] + len(self._log[si]) + 1
-        if self._wal is not None:
-            durable = self._wal.append(si, op, payload)
-            if durable != seq:
-                raise ClusterError(
-                    f"shard {si}: WAL assigned seq {durable}, router log "
-                    f"expected {seq} — log and WAL have diverged"
-                )
-            self._counters["wal_appends"] += 1
-        self._log[si].append({"seq": seq, "op": op, "payload": payload})
-        return seq
-
     async def _replicated_write(self, si: int, op: str, payload: dict, seq: int) -> dict:
         """Send one logged write to every live replica of its shard.
 
@@ -697,9 +676,10 @@ class ShardRouter:
     async def _write_shards(self, op: str, payloads: Dict[int, dict]) -> Dict[int, dict]:
         """Log one write per shard, send each to the shard's live replicas,
         and return every shard's ack; the mirror follows each ack.  All
-        entries are logged before any is sent, and the first failure is
-        raised once every write has settled."""
-        seqs = {si: self._append_log(si, op, payload) for si, payload in payloads.items()}
+        entries are logged before any is sent (durably first, with a
+        ``log_dir`` — no replica may see a write the log could lose), and
+        the first failure is raised once every write has settled."""
+        seqs = {si: self.log.append(si, op, payload) for si, payload in payloads.items()}
         results = await asyncio.gather(
             *(
                 self._replicated_write(si, op, payload, seqs[si])
@@ -784,8 +764,8 @@ class ShardRouter:
     # -- checkpointing -----------------------------------------------------
     async def snapshot(self) -> dict:
         """Checkpoint: every live replica snapshots to its own snapshot
-        directory, then the WAL truncates up to the minimum persisted
-        coverage.
+        directory, then each shard's log truncates up to the minimum
+        persisted coverage.
 
         Runs under the write lock, so every replica saves the same
         applied prefix.  A dead replica keeps its last known coverage —
@@ -822,18 +802,10 @@ class ShardRouter:
                             "write_seq": self._snapshot_seq[si][ri],
                         }
                     )
-            truncated: List[int] = []
-            for si in range(self.num_shards):
-                upto = min(self._snapshot_seq[si])
-                dropped = 0
-                if self._wal is not None:
-                    dropped = self._wal.truncate(si, upto)
-                    if dropped:
-                        self._counters["wal_truncations"] += 1
-                        base = self._wal.base(si)
-                        self._log[si] = self._log[si][base - self._log_base[si]:]
-                        self._log_base[si] = base
-                truncated.append(dropped)
+            truncated = [
+                self.log.truncate(si, min(seqs))
+                for si, seqs in enumerate(self._snapshot_seq)
+            ]
             self._counters["checkpoints"] += 1
             return {
                 "ok": True,
@@ -855,33 +827,11 @@ class ShardRouter:
         si = replica.shard
         async with self._lock.write_locked():
             info = await replica.client.request("info", timeout=self.timeout)
-            last = int(info["replication"]["last_seq"])
             reported = info.get("replication", {}).get("snapshot_seq")
             if reported is not None:
                 ri = self._replicas[si].index(replica)
                 self._snapshot_seq[si][ri] = int(reported)
-            base = self._log_base[si]
-            head = base + len(self._log[si])
-            if last > head:
-                raise ClusterError(
-                    f"replica {replica.client.address} applied seq {last}, "
-                    f"ahead of the router log head {head} — stale router?"
-                )
-            if last < base:
-                raise ClusterError(
-                    f"replica {replica.client.address} is at seq {last}, "
-                    f"behind the router's log base {base}; restart it from "
-                    "a newer snapshot"
-                )
-            replayed = 0
-            for entry in self._log[si][last - base:]:
-                await replica.client.request(
-                    entry["op"],
-                    timeout=self.timeout,
-                    seq=entry["seq"],
-                    **entry["payload"],
-                )
-                replayed += 1
+            replayed = await self._replay(replica, int(info["replication"]["last_seq"]))
             self._counters["catch_ups"] += 1
             self._counters["replayed_writes"] += replayed
             self._mark_alive(replica)
@@ -946,8 +896,8 @@ class ShardRouter:
                     "shard": si,
                     "replicas": [r.client.address for r in group],
                     "alive": [r.alive for r in group],
-                    "log_base": self._log_base[si],
-                    "log_head": self._log_base[si] + len(self._log[si]),
+                    "log_base": self.log.base(si),
+                    "log_head": self.log.head(si),
                     "live": self._mirror[si].live if self._mirror else None,
                     "id_space": self._mirror[si].id_space if self._mirror else None,
                 }
@@ -955,7 +905,7 @@ class ShardRouter:
             ],
             "timeout_s": self.timeout,
             "health_interval_s": self.health_interval,
-            "wal": None if self._wal is None else self._wal.describe(),
+            "wal": self.log.describe(),
         }
 
     def record_respawns(self, count: int) -> None:
@@ -969,12 +919,14 @@ class ShardRouter:
             "role": "router",
             "kernel": active_kernel(),
             **self._counters,
+            "wal_appends": self.log.appends,
+            "wal_truncations": self.log.truncations,
             "uptime_s": round(uptime, 3),
-            "wal": None if self._wal is None else self._wal.describe(),
+            "wal": self.log.describe(),
             "shards": [
                 {
                     "shard": si,
-                    "log_head": self._log_base[si] + len(self._log[si]),
+                    "log_head": self.log.head(si),
                     "replicas": [replica.metrics() for replica in group],
                 }
                 for si, group in enumerate(self._replicas)
@@ -983,76 +935,45 @@ class ShardRouter:
 
 
 # -- the wire layer --------------------------------------------------------
-async def _handle_router_request(
-    router: ShardRouter,
-    shutdown: "asyncio.Event",
-    line: bytes,
-    writer: "asyncio.StreamWriter",
-    write_lock: "asyncio.Lock",
-) -> None:
-    """One router request: same protocol (and error contract) as
-    :func:`repro.service.server._handle_request`, dispatched to the
-    router instead of a local service."""
-    request_id = None
-    try:
-        request = json.loads(line)
-        if not isinstance(request, dict):
-            raise ValueError("request must be a JSON object")
-        request_id = request.get("id")
-        op = request.get("op")
-        if op == "query":
-            bits = request.get("bits")
-            if bits is None:
-                raise ValueError("'query' needs a 'bits' array of 0/1 values")
-            response = await router.query(bits)
-        elif op == "query_batch":
-            queries = request.get("queries")
-            results = await router.query_batch(queries)
-            response = {"ok": True, "results": results}
-        elif op == "insert":
-            points = request.get("points")
-            if not points:
-                raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
-            response = await router.insert(points)
-        elif op == "delete":
-            ids = request.get("ids")
-            if not ids:
-                raise ValueError("'delete' needs a non-empty 'ids' list")
-            response = await router.delete(ids)
-        elif op == "snapshot":
-            if request.get("path") is not None:
-                raise ValueError(
-                    "the router checkpoints each replica to its own "
-                    "snapshot directory; 'snapshot' takes no 'path' here "
-                    "(snapshot a shard server directly to save elsewhere)"
-                )
-            response = await router.snapshot()
-        elif op == "stats":
-            response = {"ok": True, "stats": router.stats()}
-        elif op == "info":
-            body = await router.describe()
-            response = {"ok": True, **body}
-        elif op == "ping":
-            response = {"ok": True, "op": "ping"}
-        elif op == "shutdown":
-            response = {"ok": True, "stopping": True}
-        else:
-            raise ValueError(f"unknown op {op!r}")
-    except Exception as exc:
-        response = {"ok": False, "error": str(exc)}
-        op = None
-    response["id"] = request_id
-    payload = (json.dumps(_jsonable(response), sort_keys=True) + "\n").encode()
-    try:
-        async with write_lock:
-            writer.write(payload)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass
-    finally:
-        if op == "shutdown":
-            shutdown.set()
+async def _handle_router_request(router: ShardRouter, request: dict) -> dict:
+    """One router request's response: the shard server's protocol (and
+    error contract, through :func:`repro.service.server._answer`),
+    dispatched to the router instead of a local service."""
+    op = request.get("op")
+    if op == "query":
+        bits = request.get("bits")
+        if bits is None:
+            raise ValueError("'query' needs a 'bits' array of 0/1 values")
+        return await router.query(bits)
+    if op == "query_batch":
+        return {"ok": True, "results": await router.query_batch(request.get("queries"))}
+    if op == "insert":
+        points = request.get("points")
+        if not points:
+            raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
+        return await router.insert(points)
+    if op == "delete":
+        ids = request.get("ids")
+        if not ids:
+            raise ValueError("'delete' needs a non-empty 'ids' list")
+        return await router.delete(ids)
+    if op == "snapshot":
+        if request.get("path") is not None:
+            raise ValueError(
+                "the router checkpoints each replica to its own "
+                "snapshot directory; 'snapshot' takes no 'path' here "
+                "(snapshot a shard server directly to save elsewhere)"
+            )
+        return await router.snapshot()
+    if op == "stats":
+        return {"ok": True, "stats": router.stats()}
+    if op == "info":
+        return {"ok": True, **await router.describe()}
+    if op == "ping":
+        return {"ok": True, "op": "ping"}
+    if op == "shutdown":
+        return {"ok": True, "stopping": True}
+    raise ValueError(f"unknown op {op!r}")
 
 
 async def serve_router(
@@ -1083,19 +1004,14 @@ async def serve_router(
     and its count lands in the router's ``respawns`` stat; the health
     loop then catches the respawned replicas up by replay.
     """
-    wal = WriteAheadLog(log_dir) if log_dir is not None else None
     router = ShardRouter(
         shard_map,
         timeout=timeout,
         health_interval=health_interval,
-        wal=wal,
+        log_dir=log_dir,
         recover=recover,
     )
     await router.start()
-    shutdown = asyncio.Event()
-
-    def handler(line, writer, write_lock):
-        return _handle_router_request(router, shutdown, line, writer, write_lock)
 
     async def supervise() -> None:
         loop = asyncio.get_running_loop()
@@ -1105,23 +1021,15 @@ async def serve_router(
             if respawned:
                 router.record_respawns(respawned)
 
-    server = None
     supervise_task = None
-    try:
-        server = await asyncio.start_server(
-            lambda r, w: _connection_loop(handler, r, w),
-            host,
-            port,
-            limit=WIRE_LINE_LIMIT,
+    if supervisor is not None:
+        supervise_task = asyncio.get_running_loop().create_task(
+            supervise(), name="router-supervise"
         )
-        bound = server.sockets[0].getsockname()
-        if ready_cb is not None:
-            ready_cb(bound[0], bound[1])
-        if supervisor is not None:
-            supervise_task = asyncio.get_running_loop().create_task(
-                supervise(), name="router-supervise"
-            )
-        await shutdown.wait()
+    try:
+        await _listen(
+            lambda request: _handle_router_request(router, request), host, port, ready_cb
+        )
     finally:
         if supervise_task is not None:
             supervise_task.cancel()
@@ -1129,7 +1037,4 @@ async def serve_router(
                 await supervise_task
             except asyncio.CancelledError:
                 pass
-        if server is not None:
-            server.close()
-            await server.wait_closed()
         await router.stop()

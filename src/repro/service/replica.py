@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 from collections import deque
 from typing import Deque, Dict, Optional
+
+from repro.service.server import _percentile
 
 __all__ = [
     "AsyncReplicaClient",
@@ -53,13 +54,6 @@ class ReplicaUnavailableError(ReplicaError):
 
 class ReplicaTimeoutError(ReplicaUnavailableError):
     """The replica did not answer within the request timeout."""
-
-
-def _percentile(sorted_ms, q: float) -> float:
-    if not sorted_ms:
-        return 0.0
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_ms)))
-    return sorted_ms[min(rank, len(sorted_ms)) - 1]
 
 
 class AsyncReplicaClient:

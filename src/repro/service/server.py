@@ -38,7 +38,9 @@ line, one response object per line; see ``docs/SERVING.md`` for the
 exact shapes), with verbs ``query``, ``insert``, ``delete``, ``stats``,
 ``info``, ``ping`` and ``shutdown``.  ``python -m repro serve --index
 DIR`` is the CLI entry; :class:`~repro.service.client.ServiceClient` is
-the matching synchronous client.
+the matching synchronous client.  The envelope (:func:`_answer`) and
+the listener (:func:`_listen`) are shared with the cluster router;
+:func:`_handle_request` is the server's verb table.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional
+from functools import partial
+from typing import Awaitable, Callable, Deque, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -153,10 +156,12 @@ class _PendingQuery(NamedTuple):
 
 
 class _PendingWrite(NamedTuple):
-    """A queued mutation: a barrier in the request FIFO."""
+    """A queued barrier in the request FIFO: ``fn`` runs between
+    micro-batches; ``count_as`` ("insert"/"delete"/None) picks the write
+    counter it bumps."""
 
-    op: str  # "insert" | "delete" | "call"
-    payload: object  # packed (m, W) rows, a list of global ids, or a callable
+    fn: Callable[[], object]
+    count_as: Optional[str]
     future: "asyncio.Future"
     arrival: float
 
@@ -322,79 +327,48 @@ class AsyncANNService:
         self._wake.set()
         return await future
 
-    def submit_insert(self, points) -> "asyncio.Future":
-        """Enqueue an insert *synchronously*; returns its future.
-
-        The split from :meth:`insert` matters for sequenced replication:
-        a caller that validates a write-log sequence number and enqueues
-        in the same event-loop step guarantees queue order matches
-        sequence order — an ``await`` between the two would let another
-        task's write interleave.  Shape/dimension validation happens
-        here, before enqueueing.
-        """
-        self._check_accepting()
-        rows = coerce_rows(points, self.index.d)
-        future = self._loop.create_future()
-        self._queue.append(_PendingWrite("insert", rows, future, self._loop.time()))
-        self._wake.set()
-        return future
-
     async def insert(self, points) -> List[int]:
         """Insert points; resolves with their assigned global ids.
 
         The insert is a barrier in the request FIFO: every query
         submitted before it completes against the pre-insert index,
         every query submitted after it sees the new points (exactly
-        searchable from the memtable).
+        searchable from the memtable).  Rows are validated before
+        anything is enqueued.
         """
-        return await self.submit_insert(points)
-
-    def submit_delete(self, ids) -> "asyncio.Future":
-        """Enqueue a delete synchronously; returns its future.
-
-        Shape/integrality validation happens here, before enqueueing —
-        float ids are rejected, never truncated (same ordering rationale
-        as :meth:`submit_insert`).
-        """
-        self._check_accepting()
-        id_list = [int(i) for i in coerce_delete_ids(ids)]
-        future = self._loop.create_future()
-        self._queue.append(_PendingWrite("delete", id_list, future, self._loop.time()))
-        self._wake.set()
-        return future
+        rows = coerce_rows(points, self.index.d)
+        return await self.barrier(partial(self.index.insert, rows), count_as="insert")
 
     async def delete(self, ids) -> int:
         """Delete rows by global id; resolves with the deleted count.
 
-        Same barrier semantics as :meth:`insert`; an invalid id rejects
-        the whole call when it applies (atomically, between batches) and
-        leaves the index unchanged.
+        Same barrier semantics as :meth:`insert`; ids are validated
+        (flat, integral, no duplicates — float ids are rejected, never
+        truncated) before enqueueing, and an id that is not live rejects
+        the whole call when it applies, leaving the index unchanged.
         """
-        return await self.submit_delete(ids)
+        id_list = [int(i) for i in coerce_delete_ids(ids)]
+        return await self.barrier(partial(self.index.delete, id_list), count_as="delete")
 
-    def submit_call(self, fn, count_as: Optional[str] = None) -> "asyncio.Future":
-        """Enqueue ``fn`` to run as a write barrier; returns its future.
+    async def barrier(self, fn: Callable[[], object], count_as: Optional[str] = None):
+        """Run ``fn`` between micro-batches; resolves with its result.
 
-        ``fn`` executes between micro-batches with the same fence as
-        :meth:`insert`/:meth:`delete` — every earlier query resolved
-        against the pre-call state, no later query runs until it returns.
-        The shard server uses this for sequenced replicated writes (apply
-        + advance the acked sequence number atomically) and consistent
-        snapshots.  ``count_as`` ("insert"/"delete") attributes the call
-        to the write counters; None leaves the metrics untouched.
+        Every earlier query resolves against the pre-call state and no
+        later query runs until ``fn`` returns — the fence
+        :meth:`insert`/:meth:`delete` use, and the shard server's for
+        sequenced replicated writes (apply + advance the acked sequence
+        number atomically) and consistent snapshots.  ``fn`` is
+        enqueued before this coroutine first suspends, so a caller that
+        checks something and then awaits ``barrier`` in one event-loop
+        step keeps queue order equal to check order.  ``count_as``
+        ("insert"/"delete") attributes the call to the write counters;
+        None leaves the metrics untouched.
         """
         self._check_accepting()
-        if not callable(fn):
-            raise TypeError(f"submit_call needs a callable, got {type(fn).__name__}")
         future = self._loop.create_future()
-        item = _PendingWrite("call", (fn, count_as), future, self._loop.time())
-        self._queue.append(item)
+        self._queue.append(_PendingWrite(fn, count_as, future, self._loop.time()))
         self._wake.set()
-        return future
-
-    async def barrier(self, fn):
-        """Run ``fn`` between micro-batches; resolves with its result."""
-        return await self.submit_call(fn)
+        return await future
 
     # -- metrics -----------------------------------------------------------
     def metrics(self) -> ServiceMetrics:
@@ -497,23 +471,15 @@ class AsyncANNService:
         """
         item = self._queue.popleft()
         try:
-            if item.op == "insert":
-                value: object = self.index.insert(item.payload)
-                self._inserts += 1
-            elif item.op == "delete":
-                value = self.index.delete(item.payload)
-                self._deletes += 1
-            else:  # "call": a barrier callable (sequenced write / snapshot)
-                fn, count_as = item.payload
-                value = fn()
-                if count_as == "insert":
-                    self._inserts += 1
-                elif count_as == "delete":
-                    self._deletes += 1
+            value = item.fn()
         except Exception as exc:
             if not item.future.done():
                 item.future.set_exception(exc)
             return
+        if item.count_as == "insert":
+            self._inserts += 1
+        elif item.count_as == "delete":
+            self._deletes += 1
         if not item.future.done():
             item.future.set_result(value)
 
@@ -681,164 +647,142 @@ def _write_ack(state: _ServerState, seq: Optional[int], **fields) -> Dict[str, o
     return ack
 
 
-async def _sequenced_write(
-    state: _ServerState, seq, apply_fn, count_as: str
-) -> Dict[str, object]:
-    """Run one replicated write through the sequencer + write barrier.
+async def _write(state: _ServerState, seq, apply_fn, count_as: str) -> Dict[str, object]:
+    """Run one insert/delete through the service's write barrier.
 
-    ``apply_fn`` mutates the index and returns the ack payload fields;
-    it runs inside the service's barrier together with the ``applied``
-    advance, so snapshots taken at any barrier see a consistent
+    ``apply_fn`` mutates the index and returns the ack payload fields.
+    A write tagged with a router ``seq`` passes the sequencer first (a
+    duplicate is acked without applying; a gap raises), and the
+    ``applied`` advance runs inside the barrier together with
+    ``apply_fn``, so snapshots taken at any barrier see a consistent
     (state, sequence) pair.
     """
+    if seq is None:
+        fields = await state.service.barrier(apply_fn, count_as=count_as)
+        return _write_ack(state, None, **fields)
     gate = state.sequencer
-    seq_int = int(seq)
-    if not gate.admit(seq_int):  # raises on gaps
-        return gate.duplicate_ack(seq_int)
+    seq = int(seq)
+    if not gate.admit(seq):  # raises on gaps
+        return gate.duplicate_ack(seq)
 
     def apply():
         fields = apply_fn()
-        gate.applied = seq_int
+        gate.applied = seq
         return fields
 
-    fields = await state.service.submit_call(apply, count_as=count_as)
-    ack = _write_ack(state, seq_int, **fields)
-    gate.record(seq_int, ack)
+    ack = _write_ack(state, seq, **await state.service.barrier(apply, count_as=count_as))
+    gate.record(seq, ack)
     return ack
 
 
-async def _handle_request(
-    state: _ServerState,
-    shutdown: "asyncio.Event",
-    line: bytes,
-    writer: "asyncio.StreamWriter",
-    write_lock: "asyncio.Lock",
-) -> None:
+async def _handle_request(state: _ServerState, request: dict) -> dict:
+    """One request's response (the verb table; :func:`_answer` is the
+    envelope around it)."""
     service = state.service
-    request_id = None
-    try:
-        request = json.loads(line)
-        if not isinstance(request, dict):
-            raise ValueError("request must be a JSON object")
-        request_id = request.get("id")
-        op = request.get("op")
-        if op == "query":
-            bits = request.get("bits")
-            if bits is None:
-                raise ValueError("'query' needs a 'bits' array of 0/1 values")
-            row = coerce_rows([bits], service.index.d)[0]
-            result = await service.query(row)
-            response = _result_response(result, distance=_query_distance(row, result))
-        elif op == "query_batch":
-            queries = request.get("queries")
-            if not isinstance(queries, list) or not queries:
-                raise ValueError(
-                    "'query_batch' needs a non-empty 'queries' list of bit rows"
-                )
-            # Validate every row before submitting any, so one malformed
-            # row fails the whole batch without half-submitting it (the
-            # same atomicity ANNIndex.query_batch has).
-            rows = coerce_rows(queries, service.index.d)
-            results = await asyncio.gather(*(service.query(row) for row in rows))
-            response = {
-                "ok": True,
-                "results": [
-                    _result_response(result, distance=_query_distance(row, result))
-                    for row, result in zip(rows, results)
-                ],
-            }
-        elif op == "insert":
-            points = request.get("points")
-            if not points:
-                raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
-            rows = coerce_rows(points, service.index.d)  # validate pre-admission
-            seq = request.get("seq")
-            if seq is None:
-                ids = await service.insert(rows)
-                response = _write_ack(state, None, ids=[int(i) for i in ids])
-            else:
-
-                def apply_insert(rows=rows):
-                    return {"ids": [int(i) for i in service.index.insert(rows)]}
-
-                response = await _sequenced_write(state, seq, apply_insert, "insert")
-        elif op == "delete":
-            ids = request.get("ids")
-            if not ids:
-                raise ValueError("'delete' needs a non-empty 'ids' list")
-            # Validated up front (flat, integer, no duplicates) — a JSON
-            # float id is rejected here, never truncated.
-            id_list = [int(i) for i in coerce_delete_ids(ids)]
-            seq = request.get("seq")
-            if seq is None:
-                deleted = await service.delete(id_list)
-                response = _write_ack(state, None, deleted=int(deleted))
-            else:
-
-                def apply_delete(id_list=id_list):
-                    return {"deleted": int(service.index.delete(id_list))}
-
-                response = await _sequenced_write(state, seq, apply_delete, "delete")
-        elif op == "check_ids":
-            ids = request.get("ids")
-            if not isinstance(ids, list) or not ids:
-                raise ValueError("'check_ids' needs a non-empty 'ids' list")
-            index = service.index
-            id_space = int(getattr(index, "id_space", len(index)))
-            response = {
-                "ok": True,
-                "live": [
-                    bool(0 <= int(i) < id_space and index.is_live(int(i)))
-                    for i in ids
-                ],
-                "id_space": id_space,
-            }
-        elif op == "snapshot":
-            path = request.get("path")
+    op = request.get("op")
+    if op == "query":
+        bits = request.get("bits")
+        if bits is None:
+            raise ValueError("'query' needs a 'bits' array of 0/1 values")
+        row = coerce_rows([bits], service.index.d)[0]
+        result = await service.query(row)
+        return _result_response(result, distance=_query_distance(row, result))
+    if op == "query_batch":
+        queries = request.get("queries")
+        if not isinstance(queries, list) or not queries:
+            raise ValueError(
+                "'query_batch' needs a non-empty 'queries' list of bit rows"
+            )
+        # Validate every row before submitting any, so one malformed
+        # row fails the whole batch without half-submitting it (the
+        # same atomicity ANNIndex.query_batch has).
+        rows = coerce_rows(queries, service.index.d)
+        results = await asyncio.gather(*(service.query(row) for row in rows))
+        return {
+            "ok": True,
+            "results": [
+                _result_response(result, distance=_query_distance(row, result))
+                for row, result in zip(rows, results)
+            ],
+        }
+    if op == "insert":
+        points = request.get("points")
+        if not points:
+            raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
+        rows = coerce_rows(points, service.index.d)  # validate pre-admission
+        return await _write(
+            state,
+            request.get("seq"),
+            lambda: {"ids": [int(i) for i in service.index.insert(rows)]},
+            "insert",
+        )
+    if op == "delete":
+        ids = request.get("ids")
+        if not ids:
+            raise ValueError("'delete' needs a non-empty 'ids' list")
+        # Validated up front (flat, integer, no duplicates) — a JSON
+        # float id is rejected here, never truncated.
+        id_list = [int(i) for i in coerce_delete_ids(ids)]
+        return await _write(
+            state,
+            request.get("seq"),
+            lambda: {"deleted": int(service.index.delete(id_list))},
+            "delete",
+        )
+    if op == "check_ids":
+        ids = request.get("ids")
+        if not isinstance(ids, list) or not ids:
+            raise ValueError("'check_ids' needs a non-empty 'ids' list")
+        index = service.index
+        id_space = int(getattr(index, "id_space", len(index)))
+        return {
+            "ok": True,
+            "live": [
+                bool(0 <= int(i) < id_space and index.is_live(int(i)))
+                for i in ids
+            ],
+            "id_space": id_space,
+        }
+    if op == "snapshot":
+        path = request.get("path")
+        if path is None:
+            path = state.snapshot_dir
             if path is None:
-                path = state.snapshot_dir
-                if path is None:
-                    raise ValueError(
-                        "'snapshot' needs a 'path' directory string (this "
-                        "server was started without a snapshot directory "
-                        "to save back to)"
-                    )
-            if not path or not isinstance(path, str):
-                raise ValueError("'snapshot' needs a 'path' directory string")
-            in_place = path == state.snapshot_dir
-            gate = state.sequencer
+                raise ValueError(
+                    "'snapshot' needs a 'path' directory string (this "
+                    "server was started without a snapshot directory "
+                    "to save back to)"
+                )
+        if not path or not isinstance(path, str):
+            raise ValueError("'snapshot' needs a 'path' directory string")
+        in_place = path == state.snapshot_dir
+        gate = state.sequencer
 
-            def snap():
-                # Runs at a write barrier: gate.applied is exactly the
-                # last write folded into the saved state.  An in-place
-                # save only advances snapshot_seq once the save returned
-                # — i.e. once the manifest rename hit the disk.
-                saved = service.index.save(path, write_seq=gate.applied)
-                if in_place:
-                    # Only an in-place save moves the replica's durable
-                    # coverage: a restart reloads snapshot_dir, not an
-                    # export to some other path.
-                    gate.snapshot_seq = gate.applied
-                return saved, gate.applied
+        def snap():
+            # Runs at a write barrier: gate.applied is exactly the
+            # last write folded into the saved state.  An in-place
+            # save only advances snapshot_seq once the save returned
+            # — i.e. once the manifest rename hit the disk.
+            saved = service.index.save(path, write_seq=gate.applied)
+            if in_place:
+                # Only an in-place save moves the replica's durable
+                # coverage: a restart reloads snapshot_dir, not an
+                # export to some other path.
+                gate.snapshot_seq = gate.applied
+            return saved, gate.applied
 
-            saved, write_seq = await service.barrier(snap)
-            response = {"ok": True, "path": str(saved), "write_seq": int(write_seq)}
-        elif op == "stats":
+        saved, write_seq = await service.barrier(snap)
+        return {"ok": True, "path": str(saved), "write_seq": int(write_seq)}
+    if op in ("stats", "info"):
+        if op == "stats":
             # The kernel rides inside the stats payload: ServiceClient
             # unwraps response["stats"], so provenance outside it would
             # be invisible to every caller.
             response = {
                 "ok": True,
-                "stats": {
-                    **service.metrics().as_dict(),
-                    "kernel": active_kernel(),
-                },
-                "replication": _replication_info(state),
+                "stats": {**service.metrics().as_dict(), "kernel": active_kernel()},
             }
-            residency = _residency_info(service.index)
-            if residency is not None:
-                response["residency"] = residency
-        elif op == "info":
+        else:
             response = {
                 "ok": True,
                 "index": describe_index(service.index),
@@ -846,34 +790,17 @@ async def _handle_request(
                     "max_batch": service.max_batch,
                     "max_wait_ms": service.max_wait_ms,
                 },
-                "replication": _replication_info(state),
             }
-            residency = _residency_info(service.index)
-            if residency is not None:
-                response["residency"] = residency
-        elif op == "ping":
-            response = {"ok": True, "op": "ping"}
-        elif op == "shutdown":
-            response = {"ok": True, "stopping": True}
-        else:
-            raise ValueError(f"unknown op {op!r}")
-    except Exception as exc:
-        response = {"ok": False, "error": str(exc)}
-        op = None
-    response["id"] = request_id
-    payload = (json.dumps(response, sort_keys=True) + "\n").encode()
-    try:
-        async with write_lock:
-            writer.write(payload)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass  # client went away; the request still took effect
-    finally:
-        # A shutdown must stop the server even when the ack could not be
-        # delivered (client closed without reading the reply).
-        if op == "shutdown":
-            shutdown.set()
+        response["replication"] = _replication_info(state)
+        residency = _residency_info(service.index)
+        if residency is not None:
+            response["residency"] = residency
+        return response
+    if op == "ping":
+        return {"ok": True, "op": "ping"}
+    if op == "shutdown":
+        return {"ok": True, "stopping": True}
+    raise ValueError(f"unknown op {op!r}")
 
 
 def _replication_info(state: _ServerState) -> Dict[str, object]:
@@ -885,16 +812,56 @@ def _replication_info(state: _ServerState) -> Dict[str, object]:
     }
 
 
+async def _answer(
+    respond: Callable[[dict], Awaitable[dict]],
+    shutdown: "asyncio.Event",
+    line: bytes,
+    writer: "asyncio.StreamWriter",
+    write_lock: "asyncio.Lock",
+) -> None:
+    """Answer one NDJSON request line — the envelope the shard server
+    and the router share.
+
+    Parses the line, hands the request object to ``respond`` (a verb
+    table: :func:`_handle_request` or the router's
+    ``_handle_router_request``), echoes the request's ``id``, turns any
+    exception into ``{"ok": false, "error": ...}``, and writes the
+    response under the connection's lock.  An answered ``shutdown``
+    sets ``shutdown`` — even when the ack could not be delivered.
+    """
+    request_id = op = None
+    try:
+        request = json.loads(line)
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
+        request_id = request.get("id")
+        response = await respond(request)
+        op = request.get("op")
+    except Exception as exc:
+        response = {"ok": False, "error": str(exc)}
+    response["id"] = request_id
+    payload = (json.dumps(response, sort_keys=True) + "\n").encode()
+    try:
+        async with write_lock:
+            writer.write(payload)
+            try:
+                await writer.drain()
+            except ConnectionError:
+                pass  # client went away; the request still took effect
+    finally:
+        if op == "shutdown":
+            shutdown.set()
+
+
 async def _connection_loop(
-    handler,
+    answer: Callable[..., Awaitable[None]],
     reader: "asyncio.StreamReader",
     writer: "asyncio.StreamWriter",
 ) -> None:
     """One NDJSON connection: each line is handled as its own task
-    (``handler(line, writer, write_lock)``), so a client pipelining
+    (``answer(line, writer, write_lock)``), so a client pipelining
     requests gets them processed concurrently; responses carry the
-    request's ``id`` and may arrive out of order.  Shared by the shard
-    server here and the router in :mod:`repro.service.cluster`."""
+    request's ``id`` and may arrive out of order."""
     write_lock = asyncio.Lock()
     tasks = set()
     try:
@@ -930,7 +897,7 @@ async def _connection_loop(
                 break
             if not line.strip():
                 continue
-            task = asyncio.create_task(handler(line, writer, write_lock))
+            task = asyncio.create_task(answer(line, writer, write_lock))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
     except asyncio.CancelledError:
@@ -944,8 +911,33 @@ async def _connection_loop(
         writer.close()
         try:
             await writer.wait_closed()
-        except ConnectionError:
-            pass
+        except (ConnectionError, asyncio.CancelledError):
+            pass  # same guard as the loop body: cancelled at shutdown
+
+
+async def _listen(
+    respond: Callable[[dict], Awaitable[dict]],
+    host: str,
+    port: int,
+    ready_cb: Optional[Callable[[str, int], None]],
+) -> None:
+    """Serve NDJSON on ``host:port`` — every line answered through
+    :func:`_answer` with ``respond`` — until a ``shutdown`` request is
+    answered.  ``ready_cb(host, port)`` fires with the bound address
+    once listening."""
+    shutdown = asyncio.Event()
+    answer = partial(_answer, respond, shutdown)
+    server = await asyncio.start_server(
+        lambda r, w: _connection_loop(answer, r, w), host, port, limit=WIRE_LINE_LIMIT
+    )
+    try:
+        bound = server.sockets[0].getsockname()
+        if ready_cb is not None:
+            ready_cb(bound[0], bound[1])
+        await shutdown.wait()
+    finally:
+        server.close()
+        await server.wait_closed()
 
 
 async def serve(
@@ -983,26 +975,9 @@ async def serve(
     service = AsyncANNService(index, max_batch=max_batch, max_wait_ms=max_wait_ms)
     await service.start()
     state = _ServerState(service, WriteSequencer(initial_seq), shard_id, snapshot_dir)
-    shutdown = asyncio.Event()
-    server = None
-    def handler(line, writer, write_lock):
-        return _handle_request(state, shutdown, line, writer, write_lock)
-
     try:
-        server = await asyncio.start_server(
-            lambda r, w: _connection_loop(handler, r, w),
-            host,
-            port,
-            limit=WIRE_LINE_LIMIT,
-        )
-        bound = server.sockets[0].getsockname()
-        if ready_cb is not None:
-            ready_cb(bound[0], bound[1])
-        await shutdown.wait()
+        await _listen(partial(_handle_request, state), host, port, ready_cb)
     finally:
-        # The finally covers start_server failures too (port in use must
-        # not leak a running batcher task).
-        if server is not None:
-            server.close()
-            await server.wait_closed()
+        # The finally covers bind failures too (port in use must not
+        # leak a running batcher task).
         await service.stop()

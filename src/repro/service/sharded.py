@@ -478,7 +478,10 @@ class ShardedANNIndex:
     # -- querying ----------------------------------------------------------
     def query(self, x: Union[np.ndarray, list]) -> QueryResult:
         """Answer one query through every shard; best true distance wins."""
-        return self.query_batch(x)[0]
+        rows = coerce_rows(x, self.d)
+        if rows.shape[0] != 1:
+            raise ValueError(f"query needs one row, got {rows.shape[0]}")
+        return self.query_batch(rows)[0]
 
     def query_batch(
         self, queries: Union[np.ndarray, list], prefetch: bool = True

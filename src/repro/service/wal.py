@@ -1,10 +1,12 @@
-"""Durable per-shard write-ahead log for the shard router.
+"""The shard router's per-shard write log, in memory or durable.
 
 The router's write log (``docs/DISTRIBUTED.md``) is the cluster's
 source of truth: replica state is a pure function of (snapshot,
-applied log prefix).  Before this module the log lived only in router
-memory, so a router crash silently lost every entry past the replicas'
-applied sequence.  :class:`WriteAheadLog` makes the log durable:
+applied log prefix).  :class:`WriteAheadLog` is that log, and the
+router holds no other copy.  Built with ``log_dir=None`` it keeps each
+shard's base and entries in memory and opens no file — a router crash
+then loses every entry past the replicas' applied sequence.  Built
+with a directory it makes the log durable:
 
 * One append-only JSONL **segment** per shard (``shard-NNNN.wal``
   under ``log_dir``).  The first line is a header recording the
@@ -24,17 +26,17 @@ applied sequence.  :class:`WriteAheadLog` makes the log durable:
   final one — was fully appended and later damaged: that is external
   corruption of possibly acknowledged history and raises loudly.
 * **Atomic header/truncation writes**: segment creation and
-  :meth:`truncate` build the new file next to the target and
-  ``os.replace`` it into place (temp + fsync + rename, like the
-  snapshot manifests in :mod:`repro.persistence`), so a crash never
-  leaves a half-written header.
+  :meth:`truncate` rewrite the file through
+  :func:`repro.storage.layout.atomic_write` (temp + fsync + rename, like
+  the snapshot manifests), so a crash never leaves a half-written
+  header.
 
-Sequence numbers are the router's per-shard write sequence (PR 6):
+Sequence numbers are the router's per-shard write sequence:
 ``base_seq`` + the entry count is the log head, and entries are
 strictly consecutive.  :meth:`truncate` advances ``base_seq`` to the
 minimum replica ``snapshot_seq`` once every replica has persisted a
 snapshot covering the prefix — the dropped entries can never be needed
-again.
+again.  Memory-only and durable logs truncate by the same rule.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ import os
 import zlib
 from pathlib import Path
 from typing import Dict, IO, List, Optional
+
+from repro.storage.layout import atomic_write
 
 __all__ = [
     "WalCorruptionError",
@@ -82,31 +86,6 @@ def _header_checksum(shard: int, base_seq: int) -> str:
 
 def segment_path(log_dir: Path, shard: int) -> Path:
     return Path(log_dir) / f"shard-{int(shard):04d}.wal"
-
-
-def _atomic_write_lines(path: Path, lines: List[str]) -> None:
-    """Write ``lines`` to ``path`` atomically: temp + fsync + replace."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-
-
-def _fsync_dir(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return  # platforms without directory fds; the rename still happened
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass  # not supported on this filesystem; best effort
-    finally:
-        os.close(fd)
 
 
 def read_segment(path: Path) -> Dict[str, object]:
@@ -207,9 +186,12 @@ def read_segment(path: Path) -> Dict[str, object]:
 
 
 class _Segment:
-    """One shard's open segment: parsed state + an append handle."""
+    """One shard's log: base, entries and (when durable) the segment
+    file's path and append handle."""
 
-    def __init__(self, path: Path, shard: int, base_seq: int, entries: List[dict]):
+    def __init__(
+        self, path: Optional[Path], shard: int, base_seq: int, entries: List[dict]
+    ):
         self.path = path
         self.shard = shard
         self.base_seq = base_seq
@@ -232,20 +214,24 @@ class _Segment:
 
 
 class WriteAheadLog:
-    """Per-shard durable write log under one directory.
+    """Per-shard write log, memory-only (``log_dir=None``) or durable
+    under one directory.
 
-    Lifecycle: construct with the directory, then either
-    :meth:`open_segments` (recovery: parse what is on disk) or
-    :meth:`create_segments` (fresh start: one segment per shard seeded
-    at the replicas' agreed sequence).  :attr:`has_segments` says which
-    applies.  All methods are synchronous (the router calls them from
-    async code via plain method calls — each append is one small write
-    plus an fsync, the durability cost the log exists to pay).
+    Lifecycle: construct, then either :meth:`open_segments` (recovery:
+    parse what is on disk) or :meth:`create_segments` (fresh start: one
+    log per shard seeded at the replicas' agreed sequence).
+    :attr:`has_segments` says which applies; a memory-only log never has
+    any.  All methods are synchronous (the router calls them from async
+    code via plain method calls — each durable append is one small
+    write plus an fsync, the durability cost the log exists to pay).
+    ``appends`` and ``truncations`` count disk writes, so both stay 0
+    for a memory-only log.
     """
 
-    def __init__(self, log_dir) -> None:
-        self.log_dir = Path(log_dir)
-        self.log_dir.mkdir(parents=True, exist_ok=True)
+    def __init__(self, log_dir=None) -> None:
+        self.log_dir = None if log_dir is None else Path(log_dir)
+        if self.log_dir is not None:
+            self.log_dir.mkdir(parents=True, exist_ok=True)
         self._segments: List[_Segment] = []
         self.appends = 0
         self.truncations = 0
@@ -254,7 +240,7 @@ class WriteAheadLog:
     # -- lifecycle ---------------------------------------------------------
     @property
     def has_segments(self) -> bool:
-        return any(self.log_dir.glob("shard-*.wal"))
+        return self.log_dir is not None and any(self.log_dir.glob("shard-*.wal"))
 
     @property
     def num_shards(self) -> int:
@@ -267,15 +253,10 @@ class WriteAheadLog:
         (when given) additionally pins S — a mismatch with the shard
         map is a deployment error, not something to paper over.
         """
-        paths = sorted(self.log_dir.glob("shard-*.wal"))
+        paths = sorted(self.log_dir.glob("shard-*.wal")) if self.log_dir else []
         if not paths:
             raise WalError(f"no WAL segments under {self.log_dir}")
-        parsed = []
-        for path in paths:
-            segment = read_segment(path)
-            if segment["torn_tail"]:
-                self.torn_tails += 1
-            parsed.append((path, segment))
+        parsed = [(path, read_segment(path)) for path in paths]
         shards = [segment["shard"] for _, segment in parsed]
         if shards != list(range(len(parsed))):
             raise WalError(
@@ -288,19 +269,20 @@ class WriteAheadLog:
                 f"the shard map has {num_shards} shards"
             )
         self.close()
-        self._segments = [
-            _Segment(path, segment["shard"], segment["base_seq"], segment["entries"])
-            for path, segment in parsed
-        ]
-        for segment in self._segments:
-            if read_segment(segment.path)["torn_tail"]:
+        self._segments = []
+        for path, found in parsed:
+            segment = _Segment(path, found["shard"], found["base_seq"], found["entries"])
+            if found["torn_tail"]:
                 # Physically drop the torn tail so later appends start
                 # on a clean line boundary.
+                self.torn_tails += 1
                 self._rewrite(segment)
+            self._segments.append(segment)
         return self
 
     def create_segments(self, bases: List[int]) -> "WriteAheadLog":
-        """Create one fresh segment per shard, seeded at ``bases[si]``."""
+        """Start one empty log per shard, seeded at ``bases[si]`` (and
+        written as a fresh segment file when durable)."""
         if self.has_segments:
             raise WalError(
                 f"{self.log_dir} already holds WAL segments; pass --recover "
@@ -309,9 +291,10 @@ class WriteAheadLog:
         self.close()
         self._segments = []
         for shard, base_seq in enumerate(bases):
-            path = segment_path(self.log_dir, shard)
+            path = None if self.log_dir is None else segment_path(self.log_dir, shard)
             segment = _Segment(path, shard, int(base_seq), [])
-            self._rewrite(segment)
+            if path is not None:
+                self._rewrite(segment)
             self._segments.append(segment)
         return self
 
@@ -337,8 +320,11 @@ class WriteAheadLog:
         """The shard's logged entries (``{"seq", "op", "payload"}``), a copy."""
         return [dict(entry) for entry in self._segment(shard).entries]
 
-    def describe(self) -> dict:
-        """Stats block: directory, counters, per-segment positions."""
+    def describe(self) -> Optional[dict]:
+        """Stats block: directory, counters, per-segment positions (None
+        for a memory-only log)."""
+        if self.log_dir is None:
+            return None
         return {
             "dir": str(self.log_dir),
             "appends": self.appends,
@@ -357,35 +343,37 @@ class WriteAheadLog:
 
     # -- mutation ----------------------------------------------------------
     def append(self, shard: int, op: str, payload: dict) -> int:
-        """Durably append one entry; returns its sequence number.
+        """Append one entry; returns its sequence number.
 
-        The entry is on disk (written, flushed, fsync'd) before this
-        returns — only then may the router offer it to replicas.
+        On a durable log the entry is on disk (written, flushed,
+        fsync'd) before this returns — only then may the router offer
+        it to replicas.
         """
         segment = self._segment(shard)
         seq = segment.head + 1
-        record = {
-            "seq": seq,
-            "op": str(op),
-            "payload": payload,
-            "checksum": entry_checksum(seq, op, payload),
-        }
-        line = (_canonical(record) + "\n").encode("utf-8")
-        handle = segment._append_handle()
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())
+        if segment.path is not None:
+            record = {
+                "seq": seq,
+                "op": str(op),
+                "payload": payload,
+                "checksum": entry_checksum(seq, op, payload),
+            }
+            line = (_canonical(record) + "\n").encode("utf-8")
+            handle = segment._append_handle()
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+            self.appends += 1
         segment.entries.append({"seq": seq, "op": str(op), "payload": payload})
-        self.appends += 1
         return seq
 
     def truncate(self, shard: int, upto_seq: int) -> int:
         """Drop entries with ``seq <= upto_seq``; returns the count dropped.
 
-        Advances ``base_seq`` and atomically rewrites the segment.  A
-        no-op (returns 0) when ``upto_seq`` is at or behind the current
-        base; clamped to the head (the log never truncates entries that
-        do not exist yet).
+        Advances ``base_seq`` (and atomically rewrites the segment when
+        durable).  A no-op (returns 0) when ``upto_seq`` is at or behind
+        the current base; clamped to the head (the log never truncates
+        entries that do not exist yet).
         """
         segment = self._segment(shard)
         upto = min(int(upto_seq), segment.head)
@@ -394,8 +382,9 @@ class WriteAheadLog:
         dropped = upto - segment.base_seq
         segment.base_seq = upto
         segment.entries = segment.entries[dropped:]
-        self._rewrite(segment)
-        self.truncations += 1
+        if segment.path is not None:
+            self._rewrite(segment)
+            self.truncations += 1
         return dropped
 
     def _rewrite(self, segment: _Segment) -> None:
@@ -419,4 +408,5 @@ class WriteAheadLog:
                 ),
             }
             lines.append(_canonical(record))
-        _atomic_write_lines(segment.path, lines)
+        text = "".join(line + "\n" for line in lines)
+        atomic_write(segment.path, lambda fh: fh.write(text.encode("utf-8")))

@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import Dict, Mapping
+from typing import BinaryIO, Callable, Dict, Mapping
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "ARRAYS_DIR",
     "DATABASE_DIR",
     "StorageLayoutError",
+    "atomic_write",
     "key_from_relpath",
     "payload_nbytes",
     "payload_relpath",
@@ -104,10 +105,21 @@ def key_from_relpath(group: str, relpath: str) -> str:
     return relpath[len(prefix) : -len(".npy")]
 
 
-def _fsync_dir(directory: Path) -> None:
-    """Best-effort directory fsync so a rename survives a crash."""
+def atomic_write(target: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write ``target`` atomically: ``write(fh)`` fills a temp file next
+    to it, which is flushed, fsync'd and ``os.replace``\\ d into place;
+    then the directory is fsync'd (best effort) so the rename survives a
+    crash.  Readers see the old file or the new one, never a torn mix.
+    The snapshot payloads and manifest and the write-ahead log's
+    segments are all written this way."""
+    tmp = target.with_name(target.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        write(fh)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, target)
     try:
-        fd = os.open(directory, os.O_RDONLY)
+        fd = os.open(target.parent, os.O_RDONLY)
     except OSError:
         return  # platforms without directory fds; the rename still happened
     try:
@@ -141,13 +153,7 @@ def write_payloads(
         relpath = payload_relpath(group, key)
         target = directory / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.save(fh, arr, allow_pickle=False)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-        _fsync_dir(target.parent)
+        atomic_write(target, lambda fh: np.save(fh, arr, allow_pickle=False))
         index[relpath] = {
             "shape": [int(s) for s in arr.shape],
             "dtype": arr.dtype.str,

@@ -119,7 +119,7 @@ class TestEverySchemeBatchesIdentically:
     def test_default_spec_batches_identically(self, planted_64, scheme_name):
         db, queries = planted_64
         index = ANNIndex.from_spec(db, IndexSpec(scheme=scheme_name, seed=7))
-        seq = [index.query_packed(q) for q in queries]
+        seq = [index.query(q) for q in queries]
         bat = index.query_batch(queries)
         assert_results_identical(seq, bat)
 
@@ -128,6 +128,6 @@ class TestEverySchemeBatchesIdentically:
         index = ANNIndex.from_spec(
             db, IndexSpec(scheme=scheme_name, seed=7, boost=2)
         )
-        seq = [index.query_packed(q) for q in queries[:16]]
+        seq = [index.query(q) for q in queries[:16]]
         bat = index.query_batch(queries[:16])
         assert_results_identical(seq, bat)

@@ -54,7 +54,7 @@ class TestQuery:
 
     def test_query_packed(self, small_db, small_queries):
         index = ANNIndex.from_spec(small_db, ALG1_K2)
-        res = index.query_packed(small_queries[0])
+        res = index.query(small_queries[0])
         assert res.probes >= 1
 
     def test_size_report_accessible(self, small_db):
@@ -63,6 +63,6 @@ class TestQuery:
 
     def test_reproducible_with_seed(self, small_db, small_queries):
         spec = IndexSpec(scheme="algorithm1", params={"rounds": 3}, seed=9)
-        a = ANNIndex.from_spec(small_db, spec).query_packed(small_queries[2])
-        b = ANNIndex.from_spec(small_db, spec).query_packed(small_queries[2])
+        a = ANNIndex.from_spec(small_db, spec).query(small_queries[2])
+        b = ANNIndex.from_spec(small_db, spec).query(small_queries[2])
         assert a.answer_index == b.answer_index

@@ -86,7 +86,7 @@ class TestInsert:
     def test_inserted_point_is_exactly_searchable(self, index):
         point = fresh_points(1)
         [gid] = index.insert(point)
-        result = index.query_packed(point[0])
+        result = index.query(point[0])
         assert result.answer_index == gid
         assert np.array_equal(result.answer_packed, point[0])
         assert result.meta["mutable"]["source"] == "memtable"
@@ -112,13 +112,15 @@ class TestInsert:
             pytest.param(D, "insert", [[256] + [0] * (D - 1)], id="insert-bit-256"),
             pytest.param(100, "insert", "padded", id="packed-insert-padding-bit"),
             pytest.param(100, "query", "padded", id="packed-query-padding-bit"),
+            pytest.param(D, "query", np.zeros((2, D), dtype=np.uint8), id="two-row-query"),
         ],
     )
     def test_rows_the_wire_refuses_are_refused(self, d, call, rows):
-        """Values other than 0/1 and set padding bits are refused, not
-        cast: before, 0.9 and 256 were answered or inserted as 0, and a
-        packed row with bit 127 set at d=100 was inserted (breaking every
-        later compaction) or queried with a different probe count."""
+        """Values other than 0/1, set padding bits and a second row in a
+        single query are refused, not cast: before, 0.9 and 256 were
+        answered or inserted as 0, and a packed row with bit 127 set at
+        d=100 was inserted (breaking every later compaction) or queried
+        with a different probe count."""
         index = ANNIndex.from_spec(
             PackedPoints(random_points(np.random.default_rng(42), N, d), d),
             SPEC,
@@ -128,7 +130,7 @@ class TestInsert:
             rows = np.zeros((1, index.database.word_count), dtype=np.uint64)
             rows[0, -1] = np.uint64(1) << np.uint64(63)
             rows = rows if call == "insert" else rows[0]
-        with pytest.raises(ValueError, match="bits must be|padding bits"):
+        with pytest.raises(ValueError, match="bits must be|padding bits|one row, got 2"):
             getattr(index, call)(rows)
         assert index.id_space == N
 
@@ -138,9 +140,9 @@ class TestInsert:
 
     def test_memtable_scan_charges_one_parallel_round(self, index, db):
         q = fresh_points(1, seed=11)[0]
-        before = index.query_packed(q)
+        before = index.query(q)
         index.insert(fresh_points(2))
-        after = index.query_packed(q)
+        after = index.query(q)
         # Two live memtable rows: +2 probes folded into round 1; round
         # count unchanged (the scan runs in parallel with round 1).
         assert after.probes == before.probes + 2
@@ -152,9 +154,9 @@ class TestInsert:
 class TestDelete:
     def test_deleted_row_never_surfaces(self, index, db):
         q = fresh_points(1, seed=13)[0]
-        victim = index.query_packed(q).answer_index
+        victim = index.query(q).answer_index
         index.delete([victim])
-        assert index.query_packed(q).answer_index != victim
+        assert index.query(q).answer_index != victim
         assert not index.is_live(victim)
         assert len(index) == N - 1
 
@@ -163,7 +165,7 @@ class TestDelete:
         # different (live) row or None, never the tombstoned id.
         victim = 5
         index.delete([victim])
-        result = index.query_packed(db.row(victim))
+        result = index.query(db.row(victim))
         assert result.answer_index != victim
 
     def test_delete_memtable_entry_kills_in_place(self, index):
@@ -203,7 +205,7 @@ class TestDelete:
         # ties on distance 0, and the static (smaller) id must win.
         dup = db.row(3).copy()
         index.insert(dup[None, :])
-        result = index.query_packed(dup)
+        result = index.query(dup)
         if result.answer_index is not None and result.distance_to(dup) == 0:
             assert result.answer_index < N
 
@@ -224,7 +226,7 @@ class TestCompaction:
         )
         for i in range(queries.shape[0]):
             assert_bitwise_equal(
-                index.query_packed(queries[i]), oracle.query_packed(queries[i])
+                index.query(queries[i]), oracle.query(queries[i])
             )
         for a, b in zip(index.query_batch(queries), oracle.query_batch(queries)):
             assert_bitwise_equal(a, b)
@@ -250,7 +252,7 @@ class TestCompaction:
         )
         index.delete([0, 1])
         assert len(index) == 0
-        assert index.query_packed(db.row(0)).answer_index is None
+        assert index.query(db.row(0)).answer_index is None
         with pytest.raises(ValueError, match="no live rows"):
             index.compact()
 
@@ -261,7 +263,7 @@ class TestCompaction:
         with pytest.raises(RuntimeError, match="no spec"):
             index.compact()
         # ...but the tombstone still filters results.
-        assert index.query_packed(db.row(0)).answer_index != 0
+        assert index.query(db.row(0)).answer_index != 0
 
     def test_auto_trigger_fires_at_threshold(self, db):
         index = ANNIndex.from_spec(db, SPEC, compact_threshold=0.25)
@@ -306,7 +308,7 @@ class TestBatchConsistency:
         index.insert(fresh_points(4))
         index.delete([1, 3, N + 2])
         queries = fresh_points(8, seed=21)
-        sequential = [index.query_packed(queries[i]) for i in range(8)]
+        sequential = [index.query(queries[i]) for i in range(8)]
         for batch in (index.query_batch(queries), index.query_batch(queries, prefetch=False)):
             for a, b in zip(batch, sequential):
                 assert_bitwise_equal(a, b)

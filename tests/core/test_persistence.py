@@ -95,8 +95,8 @@ class TestRoundTrip:
         assert_results_equal(index.query_batch(queries), loaded.query_batch(queries))
         for qi in range(4):
             assert_results_equal(
-                [index.query_packed(queries[qi])],
-                [loaded.query_packed(queries[qi])],
+                [index.query(queries[qi])],
+                [loaded.query(queries[qi])],
             )
 
     @pytest.mark.parametrize("scheme,boost", ROUND_TRIP_CASES)

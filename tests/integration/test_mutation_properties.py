@@ -169,7 +169,7 @@ class OracleCache:
 
 def expected_result(q: np.ndarray, model: ShadowModel, oracle: OracleCache):
     """The composed oracle: fresh static build + the documented merge."""
-    static = oracle.static_index(model).query_packed(q)
+    static = oracle.static_index(model).query(q)
     mem_live = model.live_memtable()
     ppr = list(static.probes_per_round)
     if mem_live:
@@ -190,7 +190,7 @@ def expected_result(q: np.ndarray, model: ShadowModel, oracle: OracleCache):
 
 def check_query(index: ANNIndex, q: np.ndarray, model: ShadowModel, oracle: OracleCache):
     answer, ppr, scheme_label = expected_result(q, model, oracle)
-    result = index.query_packed(q)
+    result = index.query(q)
     assert result.scheme == scheme_label
     assert result.probes == sum(ppr)
     assert result.probes_per_round == ppr
@@ -262,7 +262,7 @@ def run_episode(data, spec: IndexSpec, threshold: float):
     batch = index.query_batch(queries)
     for qi in range(queries.shape[0]):
         check_query(index, queries[qi], model, oracle)
-        sequential = index.query_packed(queries[qi])
+        sequential = index.query(queries[qi])
         assert batch[qi].answer_index == sequential.answer_index
         assert batch[qi].probes == sequential.probes
         assert batch[qi].probes_per_round == sequential.probes_per_round
@@ -287,8 +287,8 @@ def run_episode(data, spec: IndexSpec, threshold: float):
             index.spec.replace(seed=generation_seed(index.spec.seed, g)),
         )
         for qi in range(min(3, queries.shape[0])):
-            a = index.query_packed(queries[qi])
-            b = fresh.query_packed(queries[qi])
+            a = index.query(queries[qi])
+            b = fresh.query(queries[qi])
             assert a.answer_index == b.answer_index
             assert a.probes == b.probes
             assert a.rounds == b.rounds

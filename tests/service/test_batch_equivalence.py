@@ -68,7 +68,7 @@ def test_query_batch_matches_sequential_loop(workload, spec, prefetch):
     db, queries = workload
     seq_index = ANNIndex.from_spec(db, spec)
     bat_index = ANNIndex.from_spec(db, spec)
-    seq = [seq_index.query_packed(q) for q in queries]
+    seq = [seq_index.query(q) for q in queries]
     bat = bat_index.query_batch(queries, prefetch=prefetch)
     assert_results_equal(seq, bat)
 
@@ -79,7 +79,7 @@ def test_query_batch_on_same_index_instance(workload, spec):
     db, queries = workload
     index = ANNIndex.from_spec(db, spec)
     bat = index.query_batch(queries)
-    seq = [index.query_packed(q) for q in queries]
+    seq = [index.query(q) for q in queries]
     bat_again = index.query_batch(queries)
     assert_results_equal(seq, bat)
     assert_results_equal(seq, bat_again)
@@ -101,7 +101,7 @@ def test_query_batch_single_query_promoted(workload):
     index = ANNIndex.from_spec(db, _spec("algorithm1", rounds=2))
     single = index.query_batch(queries[0])
     assert len(single) == 1
-    assert_results_equal([index.query_packed(queries[0])], single)
+    assert_results_equal([index.query(queries[0])], single)
 
 
 def test_one_probe_per_round_batch_equivalence(workload):
@@ -170,7 +170,7 @@ BASELINE_SPECS = [
 def test_registry_baseline_batch_matches_sequential_loop(workload, spec, prefetch):
     db, queries = workload
     index = ANNIndex.from_spec(db, spec)
-    seq = [index.query_packed(q) for q in queries[:24]]
+    seq = [index.query(q) for q in queries[:24]]
     bat = index.query_batch(queries[:24], prefetch=prefetch)
     assert_results_equal(seq, bat)
 

@@ -3,7 +3,8 @@
 Three layers:
 
 * pure unit tests for the deterministic pieces (:class:`WriteSequencer`
-  ordering/idempotence/gap refusal, ``parse_shard_map``);
+  ordering/idempotence/gap refusal, ``parse_shard_map``, the router's
+  log replay against a recording replica client);
 * a gating smoke test — a real 2-shard × 2-replica subprocess cluster
   must answer queries, survive a replica SIGKILL with bitwise-identical
   answers, and catch a restarted replica up from the router's write log
@@ -17,13 +18,15 @@ Three layers:
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cluster_harness as ch
-from repro.service.cluster import parse_shard_map
+from repro.service.cluster import ClusterError, ShardRouter, parse_shard_map
 from repro.service.server import WriteSequencer
 from repro.service.sharded import ShardedANNIndex
 
@@ -93,6 +96,53 @@ class TestParseShardMap:
     def test_rejects_malformed_specs(self, specs, message):
         with pytest.raises(ValueError, match=message):
             parse_shard_map(specs)
+
+
+# -- log replay --------------------------------------------------------------
+class _RecordingClient:
+    """Stands in for a replica connection and records every request."""
+
+    address = "replica-under-test:1"
+
+    def __init__(self):
+        self.sent = []
+
+    async def request(self, op, timeout=None, **payload):
+        self.sent.append((op, payload))
+        return {"ok": True}
+
+
+def _replay_router():
+    """An unstarted one-shard router whose memory log holds seqs 3..5
+    above base 2, its one replica wired to a recording client."""
+    router = ShardRouter([[("127.0.0.1", 9)]])
+    router.log.create_segments([2])
+    for local in range(3):
+        router.log.append(0, "delete", {"ids": [local]})
+    replica = router._replicas[0][0]
+    replica.client = _RecordingClient()
+    return router, replica
+
+
+@pytest.mark.parametrize(
+    "last, refusal",
+    [(6, "ahead of shard 0's log head 5"), (1, "behind shard 0's log base 2")],
+)
+def test_replay_refuses_a_replica_outside_the_log(last, refusal):
+    router, replica = _replay_router()
+    with pytest.raises(ClusterError, match=refusal) as excinfo:
+        asyncio.run(router._replay(replica, last))
+    assert "replica-under-test:1" in str(excinfo.value)
+    assert replica.client.sent == []
+
+
+@pytest.mark.parametrize("last", [2, 3, 5])
+def test_replay_sends_the_entries_past_the_replica_in_order(last):
+    router, replica = _replay_router()
+    assert asyncio.run(router._replay(replica, last)) == 5 - last
+    assert replica.client.sent == [
+        ("delete", {"seq": seq, "ids": [seq - 3]}) for seq in range(last + 1, 6)
+    ]
 
 
 # -- subprocess cluster ------------------------------------------------------
@@ -176,6 +226,49 @@ def test_router_refuses_queries_when_a_shard_has_no_replica(snapshot):
             cluster.restart_replica(1, 0)
             cluster.wait_replica_alive(1, 0)
             ch.assert_query_equivalent(client, oracle, queries[0])
+
+
+def test_checkpoint_truncates_the_memory_log(snapshot):
+    """Without a log directory the router's log lives in memory, and a
+    checkpoint truncates it by the durable log's rule: every shard's log
+    base moves to the replicas' snapshot coverage and ``truncated``
+    reports the drop.  A replica killed and restarted from its
+    checkpoint then catches up from the truncated log and answers its
+    shard alone, bitwise-identical to the oracle."""
+    snap, queries = snapshot
+    oracle = ShardedANNIndex.load(snap)
+    rng = np.random.default_rng(37)
+    with ch.ClusterHarness(snap, replicas=2) as cluster:
+        with cluster.connect() as client:
+            pts = rng.integers(0, 2, size=(2, oracle.d), dtype=np.uint8)
+            assert client.insert(pts.tolist()) == oracle.insert(pts)
+            before = client.info()["cluster"]["shards"]
+            report = client.snapshot()
+            after = client.info()["cluster"]["shards"]
+            heads = [shard["log_head"] for shard in before]
+            assert report["truncated"] == [
+                shard["log_head"] - shard["log_base"] for shard in before
+            ]
+            assert sum(report["truncated"]) == 2
+            assert [shard["log_base"] for shard in after] == heads
+            assert report["write_seq"] == heads
+            stats = client.stats()
+            assert stats["wal"] is None
+            assert stats["wal_appends"] == stats["wal_truncations"] == 0
+
+            # a write while replica 0/0 is down lands past the new base
+            cluster.kill_replica(0, 0)
+            victim = next(g for g in range(oracle.id_space) if oracle.is_live(g))
+            assert client.delete([victim]) == oracle.delete([victim]) == 1
+            pts = rng.integers(0, 2, size=(2, oracle.d), dtype=np.uint8)
+            assert client.insert(pts.tolist()) == oracle.insert(pts)
+
+            cluster.restart_replica(0, 0)  # reloads its own checkpoint
+            cluster.wait_replica_alive(0, 0)
+            cluster.kill_replica(0, 1)
+            for bits in queries[:4]:
+                ch.assert_query_equivalent(client, oracle, bits)
+            assert client.stats()["catch_ups"] == 1
 
 
 @pytest.fixture(scope="module")

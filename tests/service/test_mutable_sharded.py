@@ -114,7 +114,7 @@ class TestMergeRule:
         for qi in range(queries.shape[0]):
             best = None
             for si, shard in enumerate(sharded.shards):
-                res = shard.query_packed(queries[qi])
+                res = shard.query(queries[qi])
                 if res.answer_packed is None:
                     continue
                 cand = (
@@ -158,8 +158,8 @@ class TestCompaction:
                 shard.spec.replace(seed=generation_seed(shard.spec.seed, g)),
             )
             for qi in range(queries.shape[0]):
-                a = shard.query_packed(queries[qi])
-                b = fresh.query_packed(queries[qi])
+                a = shard.query(queries[qi])
+                b = fresh.query(queries[qi])
                 assert a.answer_index == b.answer_index
                 assert a.probes == b.probes
                 assert a.probes_per_round == b.probes_per_round
@@ -239,7 +239,7 @@ class TestShardedInterleavings:
                 offsets = sharded.offsets
                 best = None
                 for si, shard in enumerate(sharded.shards):
-                    res = shard.query_packed(q)
+                    res = shard.query(q)
                     if res.answer_packed is None:
                         continue
                     cand = (

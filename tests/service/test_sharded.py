@@ -74,7 +74,7 @@ def merge_oracle(db, spec, shards, queries):
     for qi in range(queries.shape[0]):
         best = None
         for si, index in enumerate(singles):
-            res = index.query_packed(queries[qi])
+            res = index.query(queries[qi])
             if res.answer_packed is None:
                 continue
             cand = (
@@ -390,3 +390,20 @@ class TestInputShaping:
         with pytest.raises(ValueError, match="bits must be"):
             getattr(index, call)(rows)
         assert index.id_space == len(db)
+
+    def test_query_refuses_a_second_row(self, workload):
+        """``query`` answers one row, as ``ANNIndex.query`` does: before,
+        two rows were answered for the first row alone."""
+        db, _ = workload
+        index = ShardedANNIndex.build(db, SPEC, shards=2)
+        with pytest.raises(ValueError, match="query needs one row, got 2"):
+            index.query(db.words[[3, 9]])
+
+    def test_query_refuses_a_padded_packed_row(self):
+        """At d=100 a packed row with bit 127 set is refused, not answered."""
+        db = PackedPoints(random_points(np.random.default_rng(5), 64, 100), 100)
+        index = ShardedANNIndex.build(db, SPEC, shards=2)
+        row = np.zeros(db.word_count, dtype=np.uint64)
+        row[-1] = np.uint64(1) << np.uint64(63)
+        with pytest.raises(ValueError, match="padding bits"):
+            index.query(row)

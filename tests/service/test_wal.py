@@ -222,3 +222,24 @@ class TestTruncate:
         assert stats["segments"][1] == {
             "shard": 1, "base_seq": 0, "head": 0, "entries": 0,
         }
+
+
+class TestMemoryOnly:
+    """``log_dir=None`` is the router's memory-only log: the same
+    positions, entries and truncation rule, and no file anywhere."""
+
+    def test_appends_and_truncates_without_touching_disk(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        log = WriteAheadLog(None).create_segments([4, 0])
+        assert not log.has_segments
+        assert log.append(0, "insert", {"points": [[1]]}) == 5
+        assert log.append(0, "delete", {"ids": [2]}) == 6
+        assert log.truncate(0, 5) == 1
+        assert log.base(0) == 5 and log.head(0) == 6
+        assert log.entries(0) == [{"seq": 6, "op": "delete", "payload": {"ids": [2]}}]
+        assert log.truncate(0, 99) == 1 and log.base(0) == log.head(0) == 6
+        # the disk counters and the stats block describe durable logs only
+        assert log.appends == log.truncations == 0
+        assert log.describe() is None
+        log.close()
+        assert list(tmp_path.iterdir()) == []

@@ -5,7 +5,9 @@ never a wedge*: whatever bytes arrive — truncated JSON, binary garbage,
 non-object JSON, unknown verbs, oversized lines, half-written frames —
 the connection (or at worst that one connection) answers or closes, and
 the server keeps serving everyone else.  Each fuzz case therefore ends
-by asserting the same server still answers a real query.
+by asserting the same server still answers a real query.  The router
+shares the server's envelope and listener, so every fuzz case runs
+twice: against a server, and against a router in front of one.
 
 The regression half pins the :class:`ServiceTimeoutError` behavior:
 a client whose server dies or stops answering *mid-request* must raise,
@@ -31,42 +33,53 @@ from repro.core.index import ANNIndex
 from repro.hamming.points import PackedPoints
 from repro.hamming.sampling import random_points
 from repro.service import ServiceClient, ServiceError, ServiceTimeoutError
+from repro.service.cluster import serve_router
 from repro.service.server import WIRE_LINE_LIMIT, serve
 
 N, D = 60, 128
 SPEC = IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=31)
 
 
-@pytest.fixture(scope="module")
-def endpoint():
-    """One live server shared by every fuzz case — surviving all of
-    them on a single process is exactly the property under test."""
+@pytest.fixture(scope="module", params=["server", "router"])
+def endpoint(request):
+    """One live endpoint shared by every fuzz case — a server, or a
+    router in front of one in-process server; surviving all of them on
+    a single process is exactly the property under test."""
     gen = np.random.default_rng(17)
     index = ANNIndex.from_spec(PackedPoints(random_points(gen, N, D), D), SPEC)
-    ready: "queue.Queue" = queue.Queue()
+    threads = []
 
-    def run():
-        asyncio.run(
-            serve(
-                index,
-                port=0,
-                max_batch=8,
-                max_wait_ms=1.0,
-                ready_cb=lambda host, port: ready.put((host, port)),
+    def start(main):
+        """Run ``main(ready_cb)`` on its own loop; return its address."""
+        ready: "queue.Queue" = queue.Queue()
+        thread = threading.Thread(
+            target=lambda: asyncio.run(main(lambda host, port: ready.put((host, port)))),
+            daemon=True,
+        )
+        thread.start()
+        threads.append(thread)
+        return ready.get(timeout=10)
+
+    endpoints = [
+        start(
+            lambda ready_cb: serve(
+                index, port=0, max_batch=8, max_wait_ms=1.0, ready_cb=ready_cb
             )
         )
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    host, port = ready.get(timeout=10)
-    yield host, port
-    try:
-        with ServiceClient(host=host, port=port, timeout=5.0) as client:
-            client.shutdown()
-    except (ServiceError, OSError):
-        pass
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    ]
+    if request.param == "router":
+        shard_map = [[endpoints[0]]]
+        endpoints.insert(0, start(lambda ready_cb: serve_router(shard_map, ready_cb=ready_cb)))
+    yield endpoints[0]
+    for host, port in endpoints:  # the router stops before its server
+        try:
+            with ServiceClient(host=host, port=port, timeout=5.0) as client:
+                client.shutdown()
+        except (ServiceError, OSError):
+            pass
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def raw_exchange(endpoint, payload: bytes, timeout: float = 10.0):

@@ -96,7 +96,7 @@ class TestEverySchemeFamily:
         assert_batch_stats_equal(heap.last_batch_stats, mmap.last_batch_stats)
         for qi in range(3):
             assert_results_equal(
-                [heap.query_packed(queries[qi])], [mmap.query_packed(queries[qi])]
+                [heap.query(queries[qi])], [mmap.query(queries[qi])]
             )
 
 
