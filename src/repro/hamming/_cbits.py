@@ -62,14 +62,6 @@ void repro_popcount_rows(const uint64_t *rows, int64_t m, int64_t w,
     }
 }
 
-int64_t repro_hamming_distance(const uint64_t *x, const uint64_t *y,
-                               int64_t w) {
-    int64_t acc = 0;
-    for (int64_t j = 0; j < w; j++)
-        acc += __builtin_popcountll(x[j] ^ y[j]);
-    return acc;
-}
-
 void repro_one_to_many(const uint64_t *x, const uint64_t *rows, int64_t m,
                        int64_t w, int64_t *out) {
 #pragma omp parallel for schedule(static) if (m * w > PAR_THRESHOLD)
@@ -292,8 +284,6 @@ class CBitsBackend(KernelBackend):
         i64 = ctypes.c_int64
         lib.repro_popcount_rows.argtypes = [u64p, i64, i64, i64p]
         lib.repro_popcount_rows.restype = None
-        lib.repro_hamming_distance.argtypes = [u64p, u64p, i64]
-        lib.repro_hamming_distance.restype = i64
         lib.repro_one_to_many.argtypes = [u64p, u64p, i64, i64, i64p]
         lib.repro_one_to_many.restype = None
         lib.repro_cross.argtypes = [u64p, i64, u64p, i64, i64, i64p]
@@ -321,11 +311,6 @@ class CBitsBackend(KernelBackend):
         out, optr = self._out(m)
         self._lib.repro_popcount_rows(ptr, m, w, optr)
         return out
-
-    def hamming_distance(self, x: np.ndarray, y: np.ndarray) -> int:
-        xp, keep_x = self._u64(x)
-        yp, keep_y = self._u64(y)
-        return int(self._lib.repro_hamming_distance(xp, yp, x.shape[0]))
 
     def hamming_distance_many(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         m, w = rows.shape

@@ -10,9 +10,10 @@ keeps scratch in ``threading.local`` storage, so the module-global
 singleton backend stays safe under concurrent callers).  Pooling only swaps
 ``a ^ b`` for ``np.bitwise_xor(a, b, out=...)`` (and likewise for
 ``bitwise_count``/``sum``) — elementwise-identical, so results stay
-bitwise-equal to the historical code path.  The witness search and the
-parity sketch are the :class:`~repro.hamming.kernels.KernelBackend`
-defaults, inherited unchanged.
+bitwise-equal to the historical code path.  The single-pair distance,
+the witness search and the parity sketch are the
+:class:`~repro.hamming.kernels.KernelBackend` defaults, inherited
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ class ReferenceBackend(KernelBackend):
     # -- primitives --------------------------------------------------------
     def popcount_rows(self, rows: np.ndarray) -> np.ndarray:
         return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-
-    def hamming_distance(self, x: np.ndarray, y: np.ndarray) -> int:
-        return int(np.bitwise_count(x ^ y).sum(dtype=np.int64))
 
     def hamming_distance_many(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         m, w = rows.shape

@@ -47,10 +47,11 @@ def check_bits(bits) -> np.ndarray:
     integer equal to 0 or 1.  The check runs before any cast: a cast
     would turn ``0.9`` and ``256`` into 0, a different row."""
     arr = np.asarray(bits)
-    if arr.size and arr.dtype != np.bool_:
-        if not np.issubdtype(arr.dtype, np.integer):
+    kind = arr.dtype.kind
+    if arr.size and kind != "b":
+        if kind not in "iu":
             raise PackedArrayError(f"bits must be integers 0 or 1, got {arr.dtype} values")
-        if arr.max() > 1 or arr.min() < 0:
+        if arr.max() > 1 or (kind == "i" and arr.min() < 0):
             bad = arr[(arr < 0) | (arr > 1)]
             raise PackedArrayError(f"bits must be 0 or 1, got {int(bad[0])}")
     return arr.astype(np.uint8, copy=False)
@@ -86,11 +87,13 @@ def pack_bits(bits: np.ndarray, d: int | None = None) -> np.ndarray:
         raise PackedArrayError("cannot pack an empty bit array")
     arr = check_bits(arr)
     w = packed_words(d)
+    if d % 64:
+        padded = np.zeros((m, w * 64), dtype=np.uint8)
+        padded[:, :d] = arr
+        arr = padded
     # np.packbits packs MSB-first per byte; request little-bit-order so bit
     # j of the input lands at bit j%8 of byte j//8, matching our layout.
-    padded = np.zeros((m, w * 64), dtype=np.uint8)
-    padded[:, :d] = arr
-    as_bytes = np.packbits(padded, axis=1, bitorder="little")
+    as_bytes = np.packbits(arr, axis=1, bitorder="little")
     packed = as_bytes.view(np.uint64).reshape(m, w)
     if single:
         return packed[0].copy()
@@ -137,6 +140,7 @@ def validate_packed(packed: np.ndarray, d: int) -> np.ndarray:
             f"packed rows need {packed_words(d)} words for dimension d={d}, "
             f"got shape {arr.shape}"
         )
-    if arr.shape[0] and int(arr[:, -1].max(initial=0)) > tail_mask(d):
+    # With d a multiple of 64 the last word has no padding bits to check.
+    if d % 64 and arr.shape[0] and int(arr[:, -1].max(initial=0)) > tail_mask(d):
         raise PackedArrayError("padding bits beyond dimension d are set")
     return arr

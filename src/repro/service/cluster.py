@@ -40,9 +40,10 @@ Robustness: per-request timeouts with retry on a sibling replica, a
 periodic health loop that marks replicas dead (and routes around them)
 and revives them through catch-up, and router metrics (per-replica
 p50/p99, retries, dead/alive transitions) surfaced through the ``stats``
-verb.  The wire envelope and listener are
-:func:`repro.service.server._answer` and ``_listen``, shared with the
-shard server; :func:`_handle_router_request` is the router's verb table.
+verb.  The wire envelope, the listener and the bit-row decoder are
+:func:`repro.service.server._answer`, ``_listen`` and
+``_decode_bit_rows``, shared with the shard server;
+:func:`_handle_router_request` is the router's verb table.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from repro.service.replica import (
     ReplicaRequestError,
     ReplicaUnavailableError,
 )
-from repro.service.server import _listen
+from repro.service.server import _decode_bit_rows, _listen
 from repro.service.sharded import (
     locate,
     merge_shard_answers,
@@ -632,8 +633,11 @@ class ShardRouter:
         }
 
     async def query(self, bits) -> dict:
-        """One query through every shard; best true distance wins."""
-        coerce_rows([bits], self.d)  # refuse before the fan-out
+        """One query through every shard; best true distance wins.
+
+        ``bits`` is a wire value, a JSON bit array: it is checked here
+        and forwarded to the shards as it came."""
+        coerce_rows([_decode_bit_rows(bits)], self.d)  # refuse before the fan-out
         async with self._lock.read_locked():
             offsets = shard_offsets(self._id_spaces())
             responses = await asyncio.gather(
@@ -651,7 +655,7 @@ class ShardRouter:
             raise ValueError(
                 "'query_batch' needs a non-empty 'queries' list of bit rows"
             )
-        count = coerce_rows(queries, self.d).shape[0]
+        count = coerce_rows(_decode_bit_rows(queries), self.d).shape[0]
         async with self._lock.read_locked():
             offsets = shard_offsets(self._id_spaces())
             per_shard = await asyncio.gather(
@@ -699,8 +703,8 @@ class ShardRouter:
         """Insert bit rows, routed by
         :func:`~repro.service.sharded.route_inserts` against the mirror's
         live counts; returned global ids are computed against the
-        post-insert offsets."""
-        rows = coerce_rows(points, self.d)
+        post-insert offsets.  ``points`` is a wire value, JSON bit rows."""
+        rows = coerce_rows(_decode_bit_rows(points), self.d)
         async with self._lock.write_locked():
             if rows.shape[0] == 0:
                 return self._write_response(ids=[])

@@ -684,7 +684,7 @@ async def _handle_request(state: _ServerState, request: dict) -> dict:
         bits = request.get("bits")
         if bits is None:
             raise ValueError("'query' needs a 'bits' array of 0/1 values")
-        row = coerce_rows([bits], service.index.d)[0]
+        row = coerce_rows([_decode_bit_rows(bits)], service.index.d)[0]
         result = await service.query(row)
         return _result_response(result, distance=_query_distance(row, result))
     if op == "query_batch":
@@ -696,7 +696,7 @@ async def _handle_request(state: _ServerState, request: dict) -> dict:
         # Validate every row before submitting any, so one malformed
         # row fails the whole batch without half-submitting it (the
         # same atomicity ANNIndex.query_batch has).
-        rows = coerce_rows(queries, service.index.d)
+        rows = coerce_rows(_decode_bit_rows(queries), service.index.d)
         results = await asyncio.gather(*(service.query(row) for row in rows))
         return {
             "ok": True,
@@ -709,7 +709,8 @@ async def _handle_request(state: _ServerState, request: dict) -> dict:
         points = request.get("points")
         if not points:
             raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
-        rows = coerce_rows(points, service.index.d)  # validate pre-admission
+        # Validate pre-admission.
+        rows = coerce_rows(_decode_bit_rows(points), service.index.d)
         return await _write(
             state,
             request.get("seq"),
@@ -733,14 +734,13 @@ async def _handle_request(state: _ServerState, request: dict) -> dict:
         ids = request.get("ids")
         if not isinstance(ids, list) or not ids:
             raise ValueError("'check_ids' needs a non-empty 'ids' list")
+        # The delete rule: 1.5, "3" and true are refused, not read as ids.
+        id_list = [int(i) for i in coerce_delete_ids(ids)]
         index = service.index
         id_space = int(getattr(index, "id_space", len(index)))
         return {
             "ok": True,
-            "live": [
-                bool(0 <= int(i) < id_space and index.is_live(int(i)))
-                for i in ids
-            ],
+            "live": [bool(0 <= i < id_space and index.is_live(i)) for i in id_list],
             "id_space": id_space,
         }
     if op == "snapshot":
@@ -810,6 +810,30 @@ def _replication_info(state: _ServerState) -> Dict[str, object]:
         "accepted_seq": state.sequencer.accepted,
         "snapshot_seq": state.sequencer.snapshot_seq,
     }
+
+
+def _decode_bit_rows(value):
+    """A JSON bit row, or a list of bit rows of one length, as a ``uint8``
+    array made by ``bytes()`` in one C pass; any other value unchanged.
+
+    ``bytes()`` takes only booleans and integers in ``[0, 256)``, so a
+    value it refuses, a non-list and ragged rows reach :func:`coerce_rows`
+    as they came and get its refusal; values 2–255 get ``check_bits``'
+    refusal on the array.  For values from ``json.loads`` only: in
+    process, ``bytes()`` would also take objects with ``__index__``.
+    """
+    if type(value) is not list or not value:
+        return value
+    try:
+        if type(value[0]) is not list:
+            return np.frombuffer(bytes(value), dtype=np.uint8)
+        width = len(value[0])
+        if any(type(row) is not list or len(row) != width for row in value):
+            return value
+        flat = b"".join(map(bytes, value))
+        return np.frombuffer(flat, dtype=np.uint8).reshape(len(value), width)
+    except (TypeError, ValueError):
+        return value
 
 
 async def _answer(

@@ -70,6 +70,14 @@ class TestPackUnpack:
             pytest.param([0, 1, -1], "bits must be 0 or 1, got -1", id="negative"),
             pytest.param([0.9, 1.0, 0.2], "integers 0 or 1", id="fractional"),
             pytest.param(["1", "0", "1"], "integers 0 or 1", id="strings"),
+            pytest.param(
+                np.array([0, 1, 200], dtype=np.uint8),
+                "bits must be 0 or 1, got 200",
+                id="uint8-200",
+            ),
+            pytest.param(
+                np.array([1, 0, 1], dtype="m8[s]"), "integers 0 or 1", id="timedelta"
+            ),
         ],
     )
     def test_rejects_values_before_any_cast(self, bits, message):
@@ -129,6 +137,11 @@ class TestRandomPacked:
         out[0, -1] = np.uint64(1) << np.uint64(63)
         with pytest.raises(PackedArrayError):
             validate_packed(out, 70)
+
+    def test_validate_accepts_any_last_word_when_d_fills_it(self):
+        # d = 128 leaves no padding bits, so there is nothing to refuse.
+        full = np.full((3, 2), np.iinfo(np.uint64).max, dtype=np.uint64)
+        assert validate_packed(full, 128) is full
 
     def test_validate_rejects_wrong_dtype(self):
         with pytest.raises(PackedArrayError):

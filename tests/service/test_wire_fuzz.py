@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.api import IndexSpec
 from repro.core.index import ANNIndex
-from repro.hamming.points import PackedPoints
+from repro.hamming.points import PackedPoints, coerce_rows
 from repro.hamming.sampling import random_points
 from repro.service import ServiceClient, ServiceError, ServiceTimeoutError
 from repro.service.cluster import serve_router
@@ -189,6 +189,65 @@ def test_bad_requests_get_per_request_errors(endpoint, frame):
     dicts = [r for r in responses if isinstance(r, dict)]
     assert dicts, f"no JSON response to {frame!r}"
     assert all(r.get("ok") is False and r.get("error") for r in dicts)
+    assert_still_serving(endpoint)
+
+
+ROW = [i % 2 for i in range(D)]
+
+
+@pytest.mark.parametrize(
+    "op, field, value, refusal",
+    [
+        pytest.param("query", "bits", 512, "got shape (1, 1)", id="bits-int"),
+        pytest.param("query", "bits", True, "got shape (1, 1)", id="bits-true"),
+        pytest.param("query", "bits", {}, "got shape (1, 1)", id="bits-object"),
+        pytest.param("query", "bits", [ROW], "got ndim=3", id="bits-nested-row"),
+        pytest.param(
+            "query_batch", "queries", [ROW, ROW[:-1]], "inhomogeneous", id="ragged-queries"
+        ),
+        pytest.param(
+            "query_batch", "queries", [ROW, 7], "inhomogeneous", id="queries-row-and-int"
+        ),
+        pytest.param("insert", "points", 3, "got ndim=0", id="points-int"),
+    ],
+)
+def test_values_that_are_not_bit_rows_keep_their_refusals(
+    endpoint, op, field, value, refusal
+):
+    """A value the wire's bit-row decoder does not convert reaches
+    ``coerce_rows`` as it came: the answer is the in-process refusal of
+    the raw value, word for word (a query's bits are one row, so
+    ``[bits]``)."""
+    with pytest.raises(ValueError) as excinfo:
+        coerce_rows([value] if op == "query" else value, D)
+    expected = str(excinfo.value)
+    assert refusal in expected
+    frame = json.dumps({"op": op, field: value}).encode() + b"\n"
+    (response,) = raw_exchange(endpoint, frame)
+    assert response["ok"] is False
+    assert response["error"] == expected
+    assert_still_serving(endpoint)
+
+
+@pytest.mark.parametrize("endpoint", ["server"], indirect=True)
+@pytest.mark.parametrize(
+    "ids, dtype",
+    [([1.5], "float64"), (["3"], "<U1"), ([True], "bool")],
+    ids=["float-id", "string-id", "boolean-id"],
+)
+def test_check_ids_refuses_the_ids_delete_refuses(endpoint, ids, dtype):
+    """``check_ids`` validates by the delete rule: ``1.5``, ``"3"`` and
+    ``true`` are refused, not read as ids 1, 3 and 1.  The router has no
+    ``check_ids`` verb, so this runs against the server only."""
+    frames = b"".join(
+        json.dumps({"op": op, "id": i, "ids": ids}).encode() + b"\n"
+        for i, op in enumerate(("check_ids", "delete"))
+    )
+    check, delete = sorted(raw_exchange(endpoint, frames), key=lambda r: r["id"])
+    assert check["ok"] is False and delete["ok"] is False
+    assert check["error"] == delete["error"] == f"ids must be integers, got dtype {dtype}"
+    (live,) = raw_exchange(endpoint, b'{"op": "check_ids", "ids": [0, 1]}\n')
+    assert live["live"] == [True, True]
     assert_still_serving(endpoint)
 
 

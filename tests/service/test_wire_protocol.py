@@ -18,13 +18,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import IndexSpec
 from repro.core.index import ANNIndex
-from repro.hamming.points import PackedPoints
+from repro.hamming.points import PackedPoints, coerce_rows
 from repro.hamming.sampling import random_points
 from repro.service import ServiceClient, ServiceError
-from repro.service.server import serve
+from repro.service.server import _decode_bit_rows, serve
 
 N, D = 80, 128
 SPEC = IndexSpec(scheme="algorithm1", params={"rounds": 2}, seed=23)
@@ -148,6 +150,62 @@ def test_client_refuses_bits_the_server_refuses(send):
             assert peer.recv(1 << 16) == b""  # closed without a byte sent
     finally:
         listener.close()
+
+
+# -- the bit-row decoder ------------------------------------------------------
+_BIT = st.sampled_from([0, 1, True, False])
+# Every other JSON value a bit row can hold.
+_ODD = st.one_of(
+    st.integers(min_value=-2, max_value=300),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(_BIT, max_size=2),
+)
+
+
+@st.composite
+def _json_rows(draw, d):
+    """A JSON row of d-1, d or d+1 values: any values, or bits with up
+    to two odd ones (so that some rows pack)."""
+    size = draw(st.integers(min_value=d - 1, max_value=d + 1))
+    if draw(st.booleans()):
+        return draw(st.lists(_BIT | _ODD, min_size=size, max_size=size))
+    row = draw(st.lists(_BIT, min_size=size, max_size=size))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        row[draw(st.integers(min_value=0, max_value=size - 1))] = draw(_ODD)
+    return row
+
+
+def _coerced(value, d):
+    """``coerce_rows``' packed rows, or its exception type and message."""
+    try:
+        return coerce_rows(value, d).tolist()
+    except Exception as exc:  # noqa: BLE001 - the refusal is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", [9, 64])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_decoded_bit_rows_coerce_like_the_raw_json_value(d, data):
+    """The wire's bit-row decoder changes no outcome: for any JSON-shaped
+    value — one row, a list of rows (ragged ones too), a bare scalar or
+    an object — ``coerce_rows`` of the decoded value gives the same
+    packed rows, or the same exception type and message, as of the raw
+    value; also as a query's single row (``[value]``)."""
+    value = data.draw(
+        st.one_of(
+            _json_rows(d),
+            st.lists(_json_rows(d), max_size=4),
+            _ODD,
+            st.dictionaries(st.text(max_size=2), _BIT, max_size=2),
+        )
+    )
+    decoded = _decode_bit_rows(value)
+    assert _coerced(decoded, d) == _coerced(value, d)
+    assert _coerced([decoded], d) == _coerced([value], d)
 
 
 def test_malformed_line_gets_error_response(endpoint):
