@@ -10,9 +10,10 @@ revealed.
 
 Tables are *lazily materialized*: a cell's content is a deterministic
 function of (database, shared randomness, address) evaluated on first probe
-and memoized.  This is an exact simulation of the model — the model charges
-for probes, never for preprocessing — while avoiding the ``n^{O(1)}`` cells
-an eager build would allocate.
+and memoized in a per-table memo of bounded size.  This is an exact
+simulation of the model — the model charges for probes, never for
+preprocessing — while avoiding the ``n^{O(1)}`` cells an eager build
+would allocate.
 """
 
 from repro.cellprobe.accounting import ProbeAccountant, ProbeBudgetExceeded, RoundRecord

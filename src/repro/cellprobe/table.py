@@ -3,8 +3,11 @@
 A :class:`Table` exposes read-only cells addressed by hashable addresses.
 :class:`LazyTable` materializes cells on first read from a deterministic
 content function — the exact content eager preprocessing would have stored
-— and memoizes it, so repeated probes of the same address are consistent
-(and property tests verify determinism across fresh instances).
+— and memoizes up to :attr:`LazyTable.MEMO_CELLS` of them per table, so
+repeated probes of a recent address are cheap.  The memo is outside the
+cost model: a cell's content is a pure function of its address (property
+tests verify determinism across fresh instances), so a memo that drops
+cells changes only how often a cell is recomputed, never what it holds.
 
 Tables carry *logical* size metadata (cell count, word size) taken from the
 scheme's closed-form accounting; the simulator never allocates ``n^{O(1)}``
@@ -60,6 +63,13 @@ class LazyTable(Table):
     makes repeated reads cheap, and the purity requirement makes the lazy
     simulation indistinguishable from an eager build.
 
+    The memo holds at most :attr:`MEMO_CELLS` cells, so a stream of fresh
+    queries cannot grow it without bound.  On overflow it is dropped
+    whole, never in part: a :meth:`read` that misses on a full memo clears
+    it before storing the new cell, and a :meth:`prefetch` whose missing
+    addresses would take it past the cap clears it and then computes
+    *every* distinct address it was given (see there).
+
     The optional ``batch_content_fn(addresses)`` computes the contents of
     many addresses in one vectorized pass; it must agree elementwise with
     ``content_fn`` (tests assert this per structure).  The batched query
@@ -71,6 +81,10 @@ class LazyTable(Table):
     the declared word size — tests enable it to check the ``O(d)`` word
     bound of every scheme.
     """
+
+    #: Per-table memo cap, in cells.  A working set above it would thrash
+    #: under any policy; at d=1024 a full level-table memo is about 1.5 MiB.
+    MEMO_CELLS = 2048
 
     def __init__(
         self,
@@ -105,6 +119,8 @@ class LazyTable(Table):
         except KeyError:
             pass
         content = self._check_word(self._content_fn(address))
+        if len(self._cache) >= self.MEMO_CELLS:
+            self._cache.clear()
         self._cache[address] = content
         self.materialized_reads += 1
         return content
@@ -120,16 +136,27 @@ class LazyTable(Table):
         Already-cached (and within-call duplicate) addresses are skipped,
         so prefetching changes only *when* cells are computed, never what
         they contain.
+
+        If the missing cells would take the memo past :attr:`MEMO_CELLS`,
+        the memo is cleared and every distinct address of the call is
+        computed, the cached ones included.  Skipping those after the
+        clear would drop them, and the engine's reads that follow would
+        recompute them one at a time through ``content_fn``.  A call with
+        more distinct addresses than the cap leaves exactly those memoized.
         """
         if self._batch_content_fn is None:
             return 0
+        cache = self._cache
         missing = []
         seen = set()
         for address in addresses:
-            if address in self._cache or address in seen:
+            if address in cache or address in seen:
                 continue
             seen.add(address)
             missing.append(address)
+        if len(cache) + len(missing) > self.MEMO_CELLS:
+            cache.clear()
+            missing = list(dict.fromkeys(addresses))
         if not missing:
             return 0
         contents = self._batch_content_fn(missing)
@@ -139,17 +166,20 @@ class LazyTable(Table):
                 f"words for {len(missing)} addresses"
             )
         for address, content in zip(missing, contents):
-            self._cache[address] = self._check_word(content)
+            cache[address] = self._check_word(content)
             self.materialized_reads += 1
             self.prefetched_cells += 1
         return len(missing)
 
     def cached_cells(self) -> int:
-        """Number of cells materialized so far (simulator statistic)."""
+        """Number of cells in the memo now (simulator statistic)."""
         return len(self._cache)
 
     def clear_cache(self) -> None:
-        """Drop memoized cells (tests use this to re-check determinism)."""
+        """Drop every memoized cell; the next read of each recomputes it.
+
+        The same drop that :meth:`read` and :meth:`prefetch` make on
+        overflow; tests also call it to re-check determinism."""
         self._cache.clear()
 
 

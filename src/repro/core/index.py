@@ -28,6 +28,7 @@ Accepts either raw 0/1 bit arrays or pre-packed
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -334,12 +335,10 @@ class ANNIndex:
             results = self._merge_mutations(arr, results)
             # Memtable scans charge real probes; keep the batch stats
             # reconciled with the merged per-query accountants.
-            stats = BatchStats(
-                batch_size=stats.batch_size,
-                sweeps=stats.sweeps,
+            stats = dataclasses.replace(
+                stats,
                 total_probes=sum(r.probes for r in results),
                 total_rounds=sum(r.rounds for r in results),
-                prefetched_cells=stats.prefetched_cells,
             )
         self._last_batch_stats = stats
         return results

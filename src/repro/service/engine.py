@@ -13,7 +13,9 @@ outstanding, and the engine
 2. **executes** each query's round through that query's own
    :class:`~repro.cellprobe.session.ProbeSession`, which now only hits
    the warm memo cache — charging probes and rounds to the query exactly
-   as the sequential path does;
+   as the sequential path does (a table's memo is capped, but it is
+   cleared only at a prefetch or a miss, never between a sweep's
+   prefetch and its reads);
 3. **advances** each plan with its round's contents.
 
 Before the first sweep, ``scheme.batch_prepare`` computes every query's
@@ -38,6 +40,7 @@ from repro.cellprobe.accounting import ProbeAccountant
 from repro.cellprobe.plan import PlanDraft
 from repro.cellprobe.scheme import CellProbingScheme
 from repro.cellprobe.session import ProbeRequest
+from repro.cellprobe.table import LazyTable
 from repro.hamming.distance import cross_distances, hamming_distance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -138,13 +141,20 @@ def merge_mutation_candidates(
 
 @dataclass
 class BatchStats:
-    """Execution statistics of one :meth:`BatchQueryEngine.run` call."""
+    """Execution statistics of one :meth:`BatchQueryEngine.run` call.
+
+    ``memo_cells`` is a gauge, not a count of this run's work: the cells
+    memoized after the run across every ``LazyTable`` the engine's
+    prefetch sweeps have classified.  It reads 0 when nothing has been
+    classified — under ``prefetch=False`` and for schemes without plans.
+    """
 
     batch_size: int
     sweeps: int
     total_probes: int
     total_rounds: int
     prefetched_cells: int
+    memo_cells: int
 
     def as_dict(self) -> dict:
         return {
@@ -153,6 +163,7 @@ class BatchStats:
             "total_probes": self.total_probes,
             "total_rounds": self.total_rounds,
             "prefetched_cells": self.prefetched_cells,
+            "memo_cells": self.memo_cells,
         }
 
 
@@ -211,7 +222,7 @@ class BatchQueryEngine:
         size = batch.shape[0]
         scheme = self.scheme
         if size == 0:
-            self.last_stats = BatchStats(0, 0, 0, 0, 0)
+            self.last_stats = BatchStats(0, 0, 0, 0, 0, self.memo_cells())
             return []
         if not scheme.supports_plans():
             results = [scheme.query(batch[i]) for i in range(size)]
@@ -221,6 +232,7 @@ class BatchQueryEngine:
                 total_probes=sum(r.probes for r in results),
                 total_rounds=sum(r.rounds for r in results),
                 prefetched_cells=0,
+                memo_cells=self.memo_cells(),
             )
             return results
 
@@ -257,8 +269,18 @@ class BatchQueryEngine:
             total_probes=sum(acc.total_probes for acc in accountants),
             total_rounds=sum(acc.total_rounds for acc in accountants),
             prefetched_cells=prefetched,
+            memo_cells=self.memo_cells(),
         )
         return results
+
+    def memo_cells(self) -> int:
+        """Cells memoized now across the ``LazyTable`` objects classified
+        by this engine's prefetch sweeps (0 before any sweep)."""
+        return sum(
+            table.cached_cells()
+            for table, _ in self._prefetchable.values()
+            if isinstance(table, LazyTable)
+        )
 
     # -- internals ---------------------------------------------------------
     def _finalize(self, draft: PlanDraft, accountant) -> object:

@@ -93,6 +93,8 @@ class ServiceMetrics:
     — ``total_probes``/``total_rounds``/``prefetched_cells`` are sums of
     the per-flush stats, ``requests`` is the sum of flush batch sizes —
     which is what ``tests/service/test_async_service.py`` checks.
+    ``memo_cells`` is a gauge, not a sum: the latest flush's count of
+    memoized cells, which the per-table memo cap bounds.
     """
 
     requests: int
@@ -112,6 +114,7 @@ class ServiceMetrics:
     total_rounds: int
     total_sweeps: int
     prefetched_cells: int
+    memo_cells: int
     uptime_s: float
     max_batch: int
     max_wait_ms: float
@@ -135,6 +138,7 @@ class ServiceMetrics:
             "total_rounds": self.total_rounds,
             "total_sweeps": self.total_sweeps,
             "prefetched_cells": self.prefetched_cells,
+            "memo_cells": self.memo_cells,
             "uptime_s": round(self.uptime_s, 3),
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
@@ -272,6 +276,7 @@ class AsyncANNService:
         self._total_rounds = 0
         self._total_sweeps = 0
         self._prefetched_cells = 0
+        self._memo_cells = 0  # a gauge: the latest flush's value
         self._latencies: Deque[float] = deque(maxlen=int(latency_window))
 
     # -- lifecycle ---------------------------------------------------------
@@ -400,6 +405,7 @@ class AsyncANNService:
             total_rounds=self._total_rounds,
             total_sweeps=self._total_sweeps,
             prefetched_cells=self._prefetched_cells,
+            memo_cells=self._memo_cells,
             uptime_s=uptime,
             max_batch=self.max_batch,
             max_wait_ms=self.max_wait_ms,
@@ -511,6 +517,7 @@ class AsyncANNService:
             self._total_rounds += stats.total_rounds
             self._total_sweeps += stats.sweeps
             self._prefetched_cells += stats.prefetched_cells
+            self._memo_cells = stats.memo_cells
 
 
 # -- the wire protocol -----------------------------------------------------

@@ -537,6 +537,7 @@ class ShardedANNIndex:
             prefetched_cells=sum(
                 s.prefetched_cells for s in shard_stats if s is not None
             ),
+            memo_cells=sum(s.memo_cells for s in shard_stats if s is not None),
         )
         return merged
 

@@ -34,6 +34,18 @@ def legacy_snapshot(tmp_path):
     return copy
 
 
+@pytest.fixture(params=[None, 1], ids=["memo-default", "memo-1"])
+def memo_cap(request, monkeypatch):
+    """Run a test under the default ``LazyTable.MEMO_CELLS`` and under a
+    cap of one cell, which evicts a table's memo at nearly every prefetch
+    and read miss.  Answers and probe ledgers must not change."""
+    from repro.cellprobe.table import LazyTable
+
+    if request.param is not None:
+        monkeypatch.setattr(LazyTable, "MEMO_CELLS", request.param)
+    return LazyTable.MEMO_CELLS
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

@@ -113,7 +113,14 @@ async def _random_arrivals(service, queries, rng, max_delay_ms):
     ],
 )
 def test_interleaving_equivalence(
-    served_index, queries, expected, max_batch, max_wait_ms, max_delay_ms, trial_seed
+    served_index,
+    queries,
+    expected,
+    max_batch,
+    max_wait_ms,
+    max_delay_ms,
+    trial_seed,
+    memo_cap,
 ):
     rng = np.random.default_rng(trial_seed)
 
@@ -151,6 +158,8 @@ def test_metrics_reconcile_with_batch_stats(served_index, queries, expected):
     assert metrics.total_rounds == sum(s.total_rounds for s in stats)
     assert metrics.total_sweeps == sum(s.sweeps for s in stats)
     assert metrics.prefetched_cells == sum(s.prefetched_cells for s in stats)
+    # memo_cells is a gauge: the latest flush's value, not a sum.
+    assert metrics.memo_cells == stats[-1].memo_cells > 0
     # ...and the flush-level stats reconcile with per-query accounting.
     assert metrics.total_probes == sum(r.probes for r in results)
     assert metrics.probes_per_query == pytest.approx(

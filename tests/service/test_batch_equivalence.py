@@ -2,7 +2,7 @@
 sequential ``query`` loop bit for bit under the same seed — answers,
 probe counts, round counts, per-round probe lists — for both algorithms,
 the boosted wrapper, and every registered baseline, with and without
-cell prefetching."""
+cell prefetching, and with a memo cap that evicts every sweep."""
 
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def assert_results_equal(seq, bat):
 
 @pytest.mark.parametrize("spec", BUILD_CASES)
 @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "noprefetch"])
-def test_query_batch_matches_sequential_loop(workload, spec, prefetch):
+def test_query_batch_matches_sequential_loop(workload, spec, prefetch, memo_cap):
     db, queries = workload
     seq_index = ANNIndex.from_spec(db, spec)
     bat_index = ANNIndex.from_spec(db, spec)
@@ -167,7 +167,9 @@ BASELINE_SPECS = [
 
 @pytest.mark.parametrize("spec", BASELINE_SPECS)
 @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "noprefetch"])
-def test_registry_baseline_batch_matches_sequential_loop(workload, spec, prefetch):
+def test_registry_baseline_batch_matches_sequential_loop(
+    workload, spec, prefetch, memo_cap
+):
     db, queries = workload
     index = ANNIndex.from_spec(db, spec)
     seq = [index.query(q) for q in queries[:24]]

@@ -326,6 +326,9 @@ class TestAccounting:
         assert stats.total_probes == sum(r.probes for r in results)
         assert stats.total_rounds == sum(r.rounds for r in results)
         assert stats.sweeps >= 1
+        assert stats.memo_cells == sum(
+            shard.last_batch_stats.memo_cells for shard in sharded.shards
+        ) > 0
 
     def test_size_report_sums_shards(self, workload):
         db, _ = workload

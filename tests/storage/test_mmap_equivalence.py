@@ -80,7 +80,7 @@ SCHEME_CASES = [
 class TestEverySchemeFamily:
     @pytest.mark.parametrize("scheme,boost", SCHEME_CASES)
     def test_mmap_answers_bitwise_equal_to_heap(
-        self, scheme, boost, workload, tmp_path
+        self, scheme, boost, workload, tmp_path, memo_cap
     ):
         db, queries = workload
         index = ANNIndex.from_spec(

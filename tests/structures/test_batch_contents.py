@@ -122,6 +122,57 @@ def test_lazy_table_prefetch_primes_cache_and_counts():
     assert table.prefetch([1, 2, 3]) == 0
 
 
+def test_prefetch_crossing_the_cap_keeps_every_address_it_was_given(monkeypatch):
+    """The overflow clear runs before cached addresses are skipped: a
+    prefetch that crosses the cap while some of its addresses are cached
+    recomputes those too, so the reads that follow never miss."""
+    monkeypatch.setattr(LazyTable, "MEMO_CELLS", 4)
+    calls = {"batch": [], "scalar": 0}
+
+    def content(addr):
+        calls["scalar"] += 1
+        return IntWord(addr % 5, 10)
+
+    def batch_content(addrs):
+        calls["batch"].append(list(addrs))
+        return [IntWord(a % 5, 10) for a in addrs]
+
+    table = LazyTable("t", 100, 8, content, batch_content_fn=batch_content)
+    assert table.prefetch([0, 1, 2]) == 3
+    assert table.prefetch([1, 2, 3, 4, 3]) == 4  # 3 cached + 2 new > 4
+    assert calls["batch"] == [[0, 1, 2], [1, 2, 3, 4]]
+    assert table.cached_cells() == 4
+    assert [table.read(a).value for a in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    assert calls["scalar"] == 0
+    # Within the cap, cached addresses are skipped as before.
+    assert table.prefetch([4, 3]) == 0
+
+
+def test_contents_after_an_overflow_clear_equal_those_before(setup, monkeypatch):
+    """The memo cap changes how often a cell is computed, never what it
+    holds: the real witness-search contents read before an overflow
+    clear equal those read after it, through prefetch and through read."""
+    _, db, family, evaluator = setup
+    gen = np.random.default_rng(23)
+    monkeypatch.setattr(LazyTable, "MEMO_CELLS", 4)
+    level = 3
+    table = MainLevelTable(evaluator, level).table
+    points = [db.row(i) for i in range(6)] + list(random_points(gen, 6, db.d))
+    addresses = [family.accurate_address(level, p) for p in points]
+    table.prefetch(addresses)
+    before = [table.read(a) for a in addresses]
+    assert table.cached_cells() == len(set(addresses)) > 4
+    table.prefetch([family.accurate_address(level, p) for p in random_points(gen, 5, db.d)])
+    assert table.cached_cells() <= 5
+    reread = [table.read(a) for a in addresses]  # misses: scalar path, clears
+    assert table.cached_cells() <= 4
+    table.prefetch(addresses)
+    refetched = [table.read(a) for a in addresses]
+    assert all(words_equal(b, r) for b, r in zip(before, reread))
+    assert all(words_equal(b, r) for b, r in zip(before, refetched))
+    assert any(isinstance(w, PointWord) for w in before)
+
+
 def test_lazy_table_without_batch_fn_ignores_prefetch():
     table = LazyTable("t", 10, 8, lambda a: IntWord(0, 1))
     assert not table.supports_prefetch
